@@ -1,7 +1,6 @@
 //! Criterion micro-benchmark: time-filtered query latency over the durable
 //! segmented store vs the monolithic in-memory index, cold (fresh store,
-//! empty LRU) vs warm (decoded segments cached), and cold-binary vs
-//! cold-JSON (the same workload sealed in the legacy whole-file format).
+//! empty LRU) vs warm (decoded segments cached).
 //!
 //! Besides the usual bench output this writes `BENCH_segments.json` to the
 //! workspace root with queries/sec per mode, segment-pruning and
@@ -15,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use focus_cnn::{GroundTruthCnn, ModelSpec};
 use focus_core::segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput};
 use focus_core::{IngestCnn, IngestParams, QueryRequest, QueryServer, SegmentedCorpus};
-use focus_index::{QueryFilter, SegmentFormat, SegmentStore};
+use focus_index::{QueryFilter, SegmentStore};
 use focus_runtime::{GpuClusterSpec, GpuMeter, IoMeter, SegmentLoadCost};
 use focus_video::profile::profile_by_name;
 use focus_video::VideoDataset;
@@ -35,11 +34,10 @@ fn workload() -> Vec<VideoDataset> {
 fn build_store(
     datasets: &[VideoDataset],
     name: &str,
-    format: SegmentFormat,
 ) -> (SegmentedIngestOutput, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    let mut store = SegmentStore::create(&dir).unwrap().with_seal_format(format);
+    let mut store = SegmentStore::create(&dir).unwrap();
     let output = SegmentedIngest::new(
         IngestCnn::generic(ModelSpec::cheap_cnn_1()),
         IngestParams {
@@ -79,20 +77,24 @@ fn server() -> QueryServer {
     QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
 }
 
+/// Serves `reqs` over `corpus` and returns the total frame count.
+fn serve_frames(
+    srv: &QueryServer,
+    corpus: &SegmentedCorpus,
+    reqs: &[QueryRequest],
+    io: &IoMeter,
+) -> usize {
+    srv.serve_corpus(corpus, None, reqs, &GpuMeter::new(), io)
+        .unwrap()
+        .outcomes
+        .iter()
+        .map(|o| o.frames.len())
+        .sum()
+}
+
 fn bench_segment_pruning(c: &mut Criterion) {
     let datasets = workload();
-    let (output, dir) = build_store(
-        &datasets,
-        "focus_bench_segment_pruning",
-        SegmentFormat::Binary,
-    );
-    // The same workload sealed as whole-file JSON: the migration/debug
-    // format the binary path is measured against.
-    let (json_output, json_dir) = build_store(
-        &datasets,
-        "focus_bench_segment_pruning_json",
-        SegmentFormat::Json,
-    );
+    let (output, dir) = build_store(&datasets, "focus_bench_segment_pruning");
     let reqs = requests(&datasets);
     let mut group = c.benchmark_group("segment_pruning");
     group.sample_size(10);
@@ -112,61 +114,25 @@ fn bench_segment_pruning(c: &mut Criterion) {
             // A fresh open per iteration: empty LRU, every load from disk.
             let (store, _) = SegmentStore::open(&dir).unwrap();
             let corpus = SegmentedCorpus::from_output(store, &output);
-            server()
-                .serve_segmented(&corpus, &reqs, &GpuMeter::new(), &IoMeter::new())
-                .unwrap()
-                .iter()
-                .map(|o| o.frames.len())
-                .sum::<usize>()
+            serve_frames(&server(), &corpus, &reqs, &IoMeter::new())
         })
     });
-    group.bench_function(
-        BenchmarkId::new("time_filtered", "segmented_cold_json"),
-        |b| {
-            b.iter(|| {
-                let (store, _) = SegmentStore::open(&json_dir).unwrap();
-                let corpus = SegmentedCorpus::from_output(store, &json_output);
-                server()
-                    .serve_segmented(&corpus, &reqs, &GpuMeter::new(), &IoMeter::new())
-                    .unwrap()
-                    .iter()
-                    .map(|o| o.frames.len())
-                    .sum::<usize>()
-            })
-        },
-    );
     group.bench_function(BenchmarkId::new("time_filtered", "segmented_warm"), |b| {
         let (store, _) = SegmentStore::open(&dir).unwrap();
         let corpus = SegmentedCorpus::from_output(store, &output);
         // Prime the LRU once; iterations then serve decoded segments.
-        server()
-            .serve_segmented(&corpus, &reqs, &GpuMeter::new(), &IoMeter::new())
-            .unwrap();
-        b.iter(|| {
-            server()
-                .serve_segmented(&corpus, &reqs, &GpuMeter::new(), &IoMeter::new())
-                .unwrap()
-                .iter()
-                .map(|o| o.frames.len())
-                .sum::<usize>()
-        })
+        serve_frames(&server(), &corpus, &reqs, &IoMeter::new());
+        b.iter(|| serve_frames(&server(), &corpus, &reqs, &IoMeter::new()))
     });
     group.finish();
 
-    write_trajectory(&output, &dir, &json_output, &json_dir, &reqs);
+    write_trajectory(&output, &dir, &reqs);
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&json_dir).ok();
 }
 
-/// Measures the four modes directly and writes `BENCH_segments.json` for
-/// future PRs to compare against.
-fn write_trajectory(
-    output: &SegmentedIngestOutput,
-    dir: &std::path::Path,
-    json_output: &SegmentedIngestOutput,
-    json_dir: &std::path::Path,
-    reqs: &[QueryRequest],
-) {
+/// Measures the three modes directly and writes `BENCH_segments.json` for
+/// future changes to compare against.
+fn write_trajectory(output: &SegmentedIngestOutput, dir: &std::path::Path, reqs: &[QueryRequest]) {
     let time_fn = |f: &mut dyn FnMut() -> usize| {
         let runs = 3;
         let start = Instant::now();
@@ -179,7 +145,7 @@ fn write_trajectory(
     // Every timed run consumes a prebuilt server: constructing a server
     // spawns its worker pool, which would otherwise dominate small (smoke)
     // workloads and make rates incomparable across workload sizes.
-    let mut servers: Vec<QueryServer> = (0..12).map(|_| server()).collect();
+    let mut servers: Vec<QueryServer> = (0..9).map(|_| server()).collect();
 
     let mut mono_servers: Vec<QueryServer> = servers.drain(..3).collect();
     let monolithic_secs = time_fn(&mut || {
@@ -196,47 +162,23 @@ fn write_trajectory(
         let (store, _) = SegmentStore::open(dir).unwrap();
         let corpus = SegmentedCorpus::from_output(store, output);
         let srv = cold_servers.pop().expect("prebuilt server");
-        srv.serve_segmented(&corpus, reqs, &GpuMeter::new(), &cold_io)
-            .unwrap()
-            .iter()
-            .map(|o| o.frames.len())
-            .sum()
-    });
-
-    let cold_json_io = IoMeter::new();
-    let mut cold_json_servers: Vec<QueryServer> = servers.drain(..3).collect();
-    let cold_json_secs = time_fn(&mut || {
-        let (store, _) = SegmentStore::open(json_dir).unwrap();
-        let corpus = SegmentedCorpus::from_output(store, json_output);
-        let srv = cold_json_servers.pop().expect("prebuilt server");
-        srv.serve_segmented(&corpus, reqs, &GpuMeter::new(), &cold_json_io)
-            .unwrap()
-            .iter()
-            .map(|o| o.frames.len())
-            .sum()
+        serve_frames(&srv, &corpus, reqs, &cold_io)
     });
 
     let (store, _) = SegmentStore::open(dir).unwrap();
     let corpus = SegmentedCorpus::from_output(store, output);
     let warm_io = IoMeter::new();
-    server()
-        .serve_segmented(&corpus, reqs, &GpuMeter::new(), &warm_io)
-        .unwrap();
+    serve_frames(&server(), &corpus, reqs, &warm_io);
     warm_io.reset();
     let mut warm_servers: Vec<QueryServer> = servers;
     let warm_secs = time_fn(&mut || {
         let srv = warm_servers.pop().expect("prebuilt server");
-        srv.serve_segmented(&corpus, reqs, &GpuMeter::new(), &warm_io)
-            .unwrap()
-            .iter()
-            .map(|o| o.frames.len())
-            .sum()
+        serve_frames(&srv, &corpus, reqs, &warm_io)
     });
 
     // Pruning statistics from one representative pass (3 timed runs above).
     let runs = 3.0;
     let cold = cold_io.snapshot();
-    let cold_json = cold_json_io.snapshot();
     let warm = warm_io.snapshot();
     let segments_total = corpus.store().len();
     let opened_per_query_cold = cold.segments_opened() as f64 / (runs * reqs.len() as f64);
@@ -254,7 +196,6 @@ fn write_trajectory(
     let entries = [
         ("monolithic", monolithic_secs),
         ("segmented_cold", cold_secs),
-        ("segmented_cold_json", cold_json_secs),
         ("segmented_warm", warm_secs),
     ];
     for (i, (name, secs)) in entries.iter().enumerate() {
@@ -275,10 +216,6 @@ fn write_trajectory(
     json.push_str(&format!(
         "    \"cold_loads\": {}, \"cold_bytes_read\": {},\n",
         cold.segment_loads, cold.bytes_read
-    ));
-    json.push_str(&format!(
-        "    \"cold_json_bytes_read\": {},\n",
-        cold_json.bytes_read
     ));
     json.push_str(&format!(
         "    \"warm_cache_hit_rate\": {:.4},\n",

@@ -12,7 +12,7 @@
 //!
 //! [`SegmentedCorpus`] is the query-side view of a segmented ingest run:
 //! the store plus the centroid observations and ingest model the
-//! verification stage needs. [`QueryServer::serve_segmented`] consumes its
+//! verification stage needs. [`QueryServer::serve_corpus`] consumes its
 //! plans with the same dedupe/batch/cache machinery as the in-memory path.
 //!
 //! **Live overlay** — a long-lived service also holds records that are not
@@ -26,7 +26,7 @@
 //! the union needs no reconciliation and is byte-identical to sealing the
 //! tail first and planning over segments alone.
 //!
-//! [`QueryServer::serve_segmented`]: crate::query_server::QueryServer::serve_segmented
+//! [`QueryServer::serve_corpus`]: crate::query_server::QueryServer::serve_corpus
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -37,6 +37,7 @@ use focus_index::{
     ClusterKey, ClusterRecord, QueryFilter, SegmentAccess, SegmentError, SegmentStore, TopKIndex,
     TrackKey,
 };
+use focus_runtime::IoMeter;
 use focus_video::{ClassId, ObjectId, ObjectObservation, StreamId};
 
 use crate::ingest::IngestCnn;
@@ -141,7 +142,7 @@ impl TailOverlay {
 /// // the four segments and prunes the rest.
 /// let request = QueryRequest::new(class)
 ///     .with_filter(QueryFilter::any().with_time_range(0.0, 9.0));
-/// let planned = corpus.plan(&request).unwrap();
+/// let planned = corpus.plan_with_tail(&request, None).unwrap();
 /// assert!(planned.access.segments_considered <= 1);
 /// assert_eq!(planned.access.segments_total, 4);
 /// # std::fs::remove_dir_all(&dir).ok();
@@ -336,19 +337,13 @@ impl SegmentedCorpus {
         classes
     }
 
-    /// Plans one query with segment pruning (QT1/QT2): routes the class
-    /// through the model's OTHER handling, opens only the segments whose
-    /// bounds intersect the filter, and returns the plan together with the
-    /// records backing every candidate (for QT4 assembly) and the access
-    /// account (for storage-cost accounting).
-    pub fn plan(&self, request: &QueryRequest) -> Result<SegmentedPlan, SegmentError> {
-        self.plan_with_tail(request, None)
-    }
-
-    /// Like [`plan`](Self::plan), but over the union of the sealed
-    /// segments and an in-memory [`TailOverlay`] of not-yet-sealed records
-    /// — the live service's read path. With `None` (or an empty overlay)
-    /// this is exactly [`plan`](Self::plan).
+    /// Plans one query with segment pruning (QT1/QT2) over the union of
+    /// the sealed segments and an optional in-memory [`TailOverlay`] of
+    /// not-yet-sealed records: routes the class through the model's OTHER
+    /// handling, opens only the segments whose bounds intersect the filter,
+    /// and returns the plan together with the records backing every
+    /// candidate (for QT4 assembly) and the access account (for
+    /// storage-cost accounting).
     ///
     /// Candidates come back sorted by cluster key across both sources, and
     /// tail/segment key-disjointness is asserted, so the plan is
@@ -510,17 +505,14 @@ impl SegmentedCorpus {
             tail_records,
         })
     }
+}
 
-    /// Convenience lookup mirroring
-    /// [`TopKIndex::lookup`](focus_index::TopKIndex::lookup) over the
-    /// segmented store.
-    pub fn lookup(
-        &self,
-        class: ClassId,
-        filter: &QueryFilter,
-    ) -> Result<Vec<ClusterRecord>, SegmentError> {
-        Ok(self.store.lookup(class, filter)?.records)
-    }
+/// Charges one planning access account to `io`: segment loads and bytes,
+/// cache hits, and block fetches per tier.
+pub(crate) fn charge_access(io: &IoMeter, access: &SegmentAccess) {
+    io.record_loads(access.cold_loads, access.bytes_read);
+    io.record_cache_hits(access.cache_hits);
+    io.record_blocks(access.blocks_read, access.block_raw_hits, access.block_hits);
 }
 
 /// A pruned query plan plus everything assembly and accounting need: the
@@ -598,7 +590,7 @@ mod tests {
             QueryFilter::any().with_time_range(20.0, 40.0).with_kx(3),
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
-            let segmented = corpus.plan(&request).unwrap();
+            let segmented = corpus.plan_with_tail(&request, None).unwrap();
             let reference = QueryPlan::build(&output.combined, &request);
             assert_eq!(segmented.plan, reference);
             // Every candidate's record was captured for assembly.
@@ -616,12 +608,15 @@ mod tests {
     fn time_restriction_opens_strictly_fewer_segments() {
         let (ds, corpus, _, dir) = corpus("pruning");
         let class = ds.dominant_classes(1)[0];
-        let full = corpus.plan(&QueryRequest::new(class)).unwrap();
+        let full = corpus
+            .plan_with_tail(&QueryRequest::new(class), None)
+            .unwrap();
         assert_eq!(full.access.segments_considered, full.access.segments_total);
         let narrow = corpus
-            .plan(
+            .plan_with_tail(
                 &QueryRequest::new(class)
                     .with_filter(QueryFilter::any().with_time_range(0.0, 10.0)),
+                None,
             )
             .unwrap();
         assert!(narrow.access.segments_considered < narrow.access.segments_total);
@@ -684,7 +679,7 @@ mod tests {
         ] {
             let request = QueryRequest::new(class).with_filter(filter);
             let with_tail = live.plan_with_tail(&request, Some(&tail)).unwrap();
-            let sealed = reference.plan(&request).unwrap();
+            let sealed = reference.plan_with_tail(&request, None).unwrap();
             assert_eq!(with_tail.plan, sealed.plan, "{request:?}");
             // The overlay never costs a segment open.
             assert!(
@@ -704,9 +699,10 @@ mod tests {
         assert_eq!(late.tail_records, late.plan.candidates.len());
         // Without the overlay the same corpus simply cannot see the tail.
         let blind = live
-            .plan(
+            .plan_with_tail(
                 &QueryRequest::new(class)
                     .with_filter(QueryFilter::any().with_time_range(46.0, 60.0)),
+                None,
             )
             .unwrap();
         assert!(blind.plan.candidates.len() < late.plan.candidates.len());
@@ -772,7 +768,9 @@ mod tests {
             .into_iter()
             .find(|c| !specialized_classes.contains(c) && *c != OTHER_CLASS)
             .expect("some indexed class outside the specialized set");
-        let before = corpus.plan(&QueryRequest::new(hidden_candidate)).unwrap();
+        let before = corpus
+            .plan_with_tail(&QueryRequest::new(hidden_candidate), None)
+            .unwrap();
         assert!(!before.plan.candidates.is_empty());
 
         corpus.stream_models.insert(stream, specialized);
@@ -788,7 +786,9 @@ mod tests {
         // pre-retrain history — the plan is a superset of the pre-override
         // plan (the OTHER lookup may add candidates; GT verification keeps
         // precision).
-        let after = corpus.plan(&QueryRequest::new(hidden_candidate)).unwrap();
+        let after = corpus
+            .plan_with_tail(&QueryRequest::new(hidden_candidate), None)
+            .unwrap();
         for handle in &before.plan.candidates {
             assert!(
                 after.plan.candidates.contains(handle),
@@ -796,7 +796,9 @@ mod tests {
             );
         }
         // Planning a routed query stays well-formed (sorted, disjoint).
-        let plan = corpus.plan(&QueryRequest::new(ClassId(999))).unwrap();
+        let plan = corpus
+            .plan_with_tail(&QueryRequest::new(ClassId(999)), None)
+            .unwrap();
         assert!(plan
             .plan
             .candidates
@@ -849,7 +851,9 @@ mod tests {
             .expect("gen2's larger set covers a class gen1 lacks");
 
         corpus.install_stream_model(stream, gen1.clone());
-        let gen1_plan = corpus.plan(&QueryRequest::new(split_class)).unwrap();
+        let gen1_plan = corpus
+            .plan_with_tail(&QueryRequest::new(split_class), None)
+            .unwrap();
         assert_eq!(
             corpus.route(stream, split_class),
             OTHER_CLASS,
@@ -864,7 +868,9 @@ mod tests {
             "gen2 specializes for it"
         );
         assert_eq!(corpus.retired_routes[&stream].generations, 1);
-        let gen2_plan = corpus.plan(&QueryRequest::new(split_class)).unwrap();
+        let gen2_plan = corpus
+            .plan_with_tail(&QueryRequest::new(split_class), None)
+            .unwrap();
         for handle in &gen1_plan.plan.candidates {
             assert!(
                 gen2_plan.plan.candidates.contains(handle),
@@ -910,7 +916,7 @@ mod tests {
         let auburn = datasets[0].profile.stream_id;
         let rare = ClassId(999);
         let only_auburn = QueryRequest::new(rare).with_filter(QueryFilter::for_stream(auburn));
-        let before = corpus.plan(&only_auburn).unwrap();
+        let before = corpus.plan_with_tail(&only_auburn, None).unwrap();
 
         corpus.stream_models.insert(
             lausanne,
@@ -927,12 +933,14 @@ mod tests {
         // The override routes `rare` through OTHER — but only for queries
         // that can reach lausanne. The auburn-restricted query's scan is
         // unchanged; an unrestricted query pays the extra lookup class.
-        let after = corpus.plan(&only_auburn).unwrap();
+        let after = corpus.plan_with_tail(&only_auburn, None).unwrap();
         assert_eq!(
             after.access.segments_considered,
             before.access.segments_considered
         );
-        let unrestricted = corpus.plan(&QueryRequest::new(rare)).unwrap();
+        let unrestricted = corpus
+            .plan_with_tail(&QueryRequest::new(rare), None)
+            .unwrap();
         assert!(
             unrestricted.access.segments_considered > after.access.segments_considered,
             "the reachable override adds the OTHER scan"
@@ -948,7 +956,11 @@ mod tests {
         let folded = corpus.store_mut().compact(usize::MAX).unwrap();
         assert!(folded > 0);
         assert_eq!(corpus.store().len(), 1);
-        let records = corpus.lookup(ClassId(0), &QueryFilter::any()).unwrap();
+        let records = corpus
+            .store()
+            .lookup(ClassId(0), &QueryFilter::any())
+            .unwrap()
+            .records;
         let merged = corpus.store().merged_index().unwrap();
         assert_eq!(
             records.len(),

@@ -33,12 +33,12 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use focus_cnn::{Classifier, GpuCost, GroundTruthCnn};
-use focus_index::{CentroidHandle, ClusterRecord, SegmentError};
+use focus_index::{CentroidHandle, ClusterRecord, SegmentAccess, SegmentError};
 use focus_runtime::{BatchCostModel, GpuClusterSpec, GpuMeter, IoMeter, WorkerPool};
 use focus_video::{ClassId, ObjectId, ObjectObservation};
 
 use crate::ingest::IngestOutput;
-use crate::query::segmented::{SegmentedCorpus, SegmentedPlan};
+use crate::query::segmented::{charge_access, SegmentedCorpus, TailOverlay};
 use crate::query::{assemble_outcome_from, QueryOutcome, QueryPlan, QueryRequest};
 
 /// Snapshot of the verdict cache's activity, as returned by
@@ -245,19 +245,6 @@ impl QueryServer {
         }
     }
 
-    /// Serves one query; equivalent to a single-element
-    /// [`serve`](Self::serve) batch.
-    pub fn serve_one(
-        &self,
-        ingest: &IngestOutput,
-        request: &QueryRequest,
-        meter: &GpuMeter,
-    ) -> QueryOutcome {
-        self.serve(ingest, std::slice::from_ref(request), meter)
-            .pop()
-            .expect("one outcome per request")
-    }
-
     /// Serves a batch of concurrent queries over `ingest`, returning one
     /// outcome per request, in request order.
     ///
@@ -310,53 +297,62 @@ impl QueryServer {
         )
     }
 
-    /// Serves a batch of concurrent queries over a durable segmented corpus
-    /// — the same dedupe / batched-verification / verdict-cache pipeline as
-    /// [`serve`](Self::serve), but with planning pruned at the segment
-    /// level: only segments whose manifest bounds intersect a query's
-    /// camera/time restriction are opened (lazily, through the store's LRU
-    /// cache). Results are byte-identical to [`serve`](Self::serve) over
-    /// the merged in-memory index (`tests/segment_durability.rs` pins
-    /// this).
+    /// Serves a batch of queries over a durable segmented corpus plus an
+    /// optional [`TailOverlay`] of not-yet-sealed records — the one
+    /// segmented read path, used by the live service and by standalone
+    /// stores alike.
     ///
-    /// Storage work — cold segment loads, bytes read, LRU hits — is charged
-    /// to `io`; GPU accounting on `meter` is unchanged from
-    /// [`serve`](Self::serve).
-    pub fn serve_segmented(
+    /// Every request is planned in order with
+    /// [`SegmentedCorpus::plan_with_tail`], which opens only the segments
+    /// whose manifest bounds intersect its camera/time restriction.
+    /// Centroids resolve from the corpus first, then from the tail, and
+    /// the plans go through [`serve_resolved`](Self::serve_resolved).
+    /// Results are byte-identical to [`serve`](Self::serve) over the merged
+    /// in-memory index (`tests/segment_durability.rs` pins this).
+    ///
+    /// Storage work — cold segment loads, bytes read, cache hits — is
+    /// charged to `io` only once every request has planned: a batch that
+    /// fails on its `n`th request serves nothing and counts nothing. GPU
+    /// accounting on `meter` is unchanged from [`serve`](Self::serve).
+    pub fn serve_corpus(
         &self,
         corpus: &SegmentedCorpus,
+        tail: Option<&TailOverlay>,
         requests: &[QueryRequest],
         meter: &GpuMeter,
         io: &IoMeter,
-    ) -> Result<Vec<QueryOutcome>, SegmentError> {
+    ) -> Result<CorpusBatch, SegmentError> {
         if requests.is_empty() {
-            return Ok(Vec::new());
+            return Ok(CorpusBatch::default());
         }
-        // QT1/QT2 with pruning: plan every query concurrently; each plan
-        // carries the records it resolved from the segments it opened.
-        let planned: Vec<Result<SegmentedPlan, SegmentError>> = self
-            .pool
-            .map(requests.to_vec(), |request| corpus.plan(request));
-        let mut plans = Vec::with_capacity(planned.len());
-        let mut records = Vec::with_capacity(planned.len());
-        for result in planned {
-            let segmented = result?;
-            io.record_loads(segmented.access.cold_loads, segmented.access.bytes_read);
-            io.record_cache_hits(segmented.access.cache_hits);
-            io.record_blocks(
-                segmented.access.blocks_read,
-                segmented.access.block_raw_hits,
-                segmented.access.block_hits,
-            );
-            plans.push(segmented.plan);
-            records.push(segmented.records);
+        let mut plans = Vec::with_capacity(requests.len());
+        let mut records = Vec::with_capacity(requests.len());
+        let mut access = SegmentAccess::default();
+        let mut tail_candidates = 0usize;
+        for request in requests {
+            let planned = corpus.plan_with_tail(request, tail)?;
+            access.merge(&planned.access);
+            tail_candidates += planned.tail_records;
+            plans.push(planned.plan);
+            records.push(planned.records);
         }
-        Ok(self.serve_resolved(
+        charge_access(io, &access);
+        let outcomes = self.serve_resolved(
             &plans,
             &records,
-            |id| corpus.centroids.get(&id).cloned(),
+            |id| {
+                corpus
+                    .centroids
+                    .get(&id)
+                    .or_else(|| tail.and_then(|tail| tail.centroid(id)))
+                    .cloned()
+            },
             meter,
-        ))
+        );
+        Ok(CorpusBatch {
+            outcomes,
+            tail_candidates,
+        })
     }
 
     /// Serves pre-built plans whose candidate records were already resolved
@@ -367,11 +363,11 @@ impl QueryServer {
     /// `resolve_centroid` must return the observation behind every
     /// candidate centroid (from the durable corpus or the in-memory tail).
     ///
-    /// Runs the exact QT3/QT4 pipeline of [`serve`](Self::serve) — dedupe
-    /// against the verdict cache for the current ground-truth epoch,
-    /// batched verification of only the fresh centroids, memoization, and
-    /// batch-local assembly — so a caller mixing tail and segment
-    /// candidates inherits the full cache/batching contract unchanged.
+    /// Runs the exact QT3/QT4 pipeline of [`serve`](Self::serve) — the
+    /// [`verify_round`](Self::verify_round) dedupe / batched-verify /
+    /// memoize sequence under phase `"query"`, then batch-local assembly —
+    /// so a caller mixing tail and segment candidates inherits the full
+    /// cache/batching contract unchanged.
     ///
     /// [`SegmentedCorpus::plan_with_tail`]: crate::query::segmented::SegmentedCorpus::plan_with_tail
     ///
@@ -394,13 +390,15 @@ impl QueryServer {
         })
     }
 
-    /// One round of centroid verification for the anytime query path:
-    /// classifies exactly the given centroids (in order) through the same
-    /// pin-epoch / dedupe-against-cache / batched-classify / memoize
-    /// pipeline as [`serve`](Self::serve), charging the amortized batch
-    /// cost to `meter` under the caller-named `phase` (the anytime loop
-    /// passes `"anytime"` so the [`GpuScheduler`] can arbitrate it on the
-    /// query side of the budget).
+    /// The one GT verification sequence every serving path shares (QT3):
+    /// pins the (model, epoch) pair, dedupes the given centroids (in order)
+    /// against the verdict cache and within the round, classifies only the
+    /// fresh ones in GPU-sized batches across the worker pool, charges the
+    /// amortized batch cost to `meter` under the caller-named `phase`, and
+    /// memoizes every fresh verdict. [`serve`](Self::serve) and
+    /// [`serve_resolved`](Self::serve_resolved) run it under `"query"`;
+    /// the anytime loop passes `"anytime"` so the [`GpuScheduler`] can
+    /// arbitrate it on the query side of the budget.
     ///
     /// The returned [`VerifiedBatch`] keeps cache hits and fresh GT
     /// inferences separate: a cached verdict costs nothing and must not
@@ -427,9 +425,11 @@ impl QueryServer {
             (Arc::clone(&guard), self.epoch())
         };
 
-        // Dedupe against the cache (and within the round) exactly as one
-        // serve batch would; each verdict source is captured locally so a
-        // concurrent epoch bump cannot starve the in-flight round.
+        // Dedupe against the cache and within the round. Each verdict
+        // source is captured locally — a cached label is copied out, a
+        // fresh centroid becomes an index into the fresh set — so nothing
+        // below re-reads the shared cache, which a concurrent epoch bump
+        // may clear under an in-flight round.
         let mut fresh: Vec<ObjectId> = Vec::new();
         let mut sources: Vec<VerdictSource> = Vec::with_capacity(centroids.len());
         let mut hits = 0usize;
@@ -478,7 +478,10 @@ impl QueryServer {
             .batch_cost(gt.cost_per_inference(), fresh.len());
         meter.charge(phase, cost);
 
-        // Memoize under the pinned epoch, shared with every other path.
+        // Memoize under the pinned epoch, shared with every other path. (If
+        // a concurrent bump raced past the pinned epoch, these entries are
+        // unreachable and bounded — correctness is carried by the epoch in
+        // the key, not by the purge.)
         {
             let mut cache = self.cache.lock();
             for (id, label) in fresh.iter().zip(fresh_labels.iter()) {
@@ -513,11 +516,11 @@ impl QueryServer {
         }
     }
 
-    /// QT3/QT4 shared by the in-memory and segmented paths: pin the
-    /// (model, epoch) pair, dedupe the union of candidate centroids against
-    /// the verdict cache, verify the fresh set in GPU batches, memoize, and
-    /// assemble one outcome per plan. `get_record(i, handle)` resolves a
-    /// confirmed candidate of `plans[i]` to its cluster record.
+    /// QT3/QT4 shared by the in-memory and resolved paths: verifies the
+    /// union of every plan's candidate centroids in one
+    /// [`verify_round`](Self::verify_round) and assembles one outcome per
+    /// plan. `get_record(i, handle)` resolves a confirmed candidate of
+    /// `plans[i]` to its cluster record.
     fn verify_and_assemble<'a>(
         &self,
         plans: &[QueryPlan],
@@ -525,114 +528,37 @@ impl QueryServer {
         meter: &GpuMeter,
         get_record: impl Fn(usize, &CentroidHandle) -> &'a ClusterRecord,
     ) -> Vec<QueryOutcome> {
-        // Pin the (model, epoch) pair for the whole batch.
-        let (gt, epoch) = {
-            let guard = self.gt.lock();
-            (Arc::clone(&guard), self.epoch())
-        };
-
-        // Dedupe the union of needed centroid inferences across the
-        // in-flight queries, skipping verdicts cached for this epoch. Each
-        // candidate's verdict source is captured locally — a cached label is
-        // copied out, a fresh centroid becomes an index into the fresh set —
-        // so assembly below never re-reads the shared cache (which a
-        // concurrent epoch bump may clear under an in-flight batch).
-        let mut fresh: Vec<ObjectId> = Vec::new();
-        let mut fresh_per_query = vec![0usize; plans.len()];
-        let mut sources: Vec<Vec<VerdictSource>> = Vec::with_capacity(plans.len());
-        let mut hits = 0usize;
-        {
-            let cache = self.cache.lock();
-            let mut scheduled: HashMap<ObjectId, usize> = HashMap::new();
-            for (plan, fresh_count) in plans.iter().zip(fresh_per_query.iter_mut()) {
-                let mut plan_sources = Vec::with_capacity(plan.candidates.len());
-                for handle in &plan.candidates {
-                    if let Some(label) = cache.get(&(handle.centroid, epoch)) {
-                        hits += 1;
-                        plan_sources.push(VerdictSource::Cached(*label));
-                    } else if let Some(&index) = scheduled.get(&handle.centroid) {
-                        // Already scheduled by an earlier in-flight query:
-                        // computed once, shared within the batch.
-                        hits += 1;
-                        plan_sources.push(VerdictSource::Fresh(index));
-                    } else {
-                        let index = fresh.len();
-                        scheduled.insert(handle.centroid, index);
-                        fresh.push(handle.centroid);
-                        *fresh_count += 1;
-                        plan_sources.push(VerdictSource::Fresh(index));
-                    }
-                }
-                sources.push(plan_sources);
-            }
-        }
-        self.hits.fetch_add(hits, Ordering::SeqCst);
-        self.misses.fetch_add(fresh.len(), Ordering::SeqCst);
-
-        // QT3: batched GT-CNN verification of the deduplicated fresh set.
-        let batches: Vec<Vec<ObjectObservation>> = fresh
-            .chunks(self.batching.max_batch)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|id| {
-                        resolve_centroid(*id).expect("ingest stored every centroid observation")
-                    })
-                    .collect()
-            })
+        let centroids: Vec<ObjectId> = plans
+            .iter()
+            .flat_map(|plan| plan.candidates.iter().map(|handle| handle.centroid))
             .collect();
-        let gt_worker = Arc::clone(&gt);
-        let labels: Vec<ClassId> = self
-            .pool
-            .map(batches, move |batch| gt_worker.classify_batch(batch))
-            .into_iter()
-            .flatten()
-            .collect();
-        let batch_cost = self
-            .batching
-            .batch_cost(gt.cost_per_inference(), fresh.len());
-        meter.charge("query", batch_cost);
+        let verified = self.verify_round(&centroids, resolve_centroid, meter, "query");
 
-        // Memoize the fresh verdicts under the pinned epoch, for future
-        // serve calls. (If a concurrent bump raced past the pinned epoch,
-        // these entries are unreachable and bounded — correctness is
-        // carried by the epoch in the key, not by the purge.)
-        {
-            let mut cache = self.cache.lock();
-            for (id, label) in fresh.iter().zip(labels.iter()) {
-                cache.insert((*id, epoch), *label);
-            }
-        }
-
-        // QT4: assemble every outcome from the batch-local verdict
-        // snapshot, without holding any lock. Fresh work is attributed to
-        // the first query that needed it; the batch's wall-clock latency is
-        // shared.
-        let latency_secs = self.gpus.latency_secs(batch_cost);
-        let share = if fresh.is_empty() {
+        // QT4: assemble every outcome from the batch-local verdicts. Fresh
+        // work is attributed to the first query that needed it; the batch's
+        // wall-clock latency is shared.
+        let share = if verified.fresh_inferences == 0 {
             GpuCost::ZERO
         } else {
-            batch_cost / fresh.len() as f64
+            verified.cost / verified.fresh_inferences as f64
         };
+        let mut offset = 0;
         plans
             .iter()
-            .zip(sources.iter())
-            .zip(fresh_per_query.iter())
             .enumerate()
-            .map(|(plan_idx, ((plan, plan_sources), fresh_count))| {
-                let verdicts: Vec<ClassId> = plan_sources
+            .map(|(plan_idx, plan)| {
+                let range = offset..offset + plan.candidates.len();
+                offset = range.end;
+                let fresh_count = verified.fresh_mask[range.clone()]
                     .iter()
-                    .map(|source| match source {
-                        VerdictSource::Cached(label) => *label,
-                        VerdictSource::Fresh(index) => labels[*index],
-                    })
-                    .collect();
+                    .filter(|fresh| **fresh)
+                    .count();
                 assemble_outcome_from(
                     plan,
-                    &verdicts,
-                    *fresh_count,
-                    share * *fresh_count,
-                    latency_secs,
+                    &verified.labels[range],
+                    fresh_count,
+                    share * fresh_count,
+                    verified.latency_secs,
                     |handle| get_record(plan_idx, handle),
                 )
             })
@@ -640,13 +566,23 @@ impl QueryServer {
     }
 }
 
-/// Where one candidate's verdict comes from within a `serve` batch: copied
-/// out of the cache at dedupe time, or an index into the batch's fresh
-/// classification results.
+/// Where one centroid's verdict comes from within a verification round:
+/// copied out of the cache at dedupe time, or an index into the round's
+/// fresh classification results.
 #[derive(Debug, Clone, Copy)]
 enum VerdictSource {
     Cached(ClassId),
     Fresh(usize),
+}
+
+/// One batch served by [`QueryServer::serve_corpus`].
+#[derive(Debug, Default)]
+pub struct CorpusBatch {
+    /// One outcome per request, in request order.
+    pub outcomes: Vec<QueryOutcome>,
+    /// Candidates resolved from the tail overlay instead of a sealed
+    /// segment, summed over the batch.
+    pub tail_candidates: usize,
 }
 
 /// The result of one [`QueryServer::verify_round`] call: one verdict per
@@ -765,7 +701,7 @@ mod tests {
         let server = server();
         let serial_engine = QueryEngine::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4));
         let serial = serial_engine.query(&out, class, &QueryFilter::any(), &GpuMeter::new());
-        let served = server.serve_one(&out, &QueryRequest::new(class), &GpuMeter::new());
+        let served = &server.serve(&out, &[QueryRequest::new(class)], &GpuMeter::new())[0];
         assert_eq!(served.frames, serial.frames);
         assert_eq!(served.centroid_inferences, serial.centroid_inferences);
         if served.centroid_inferences > 1 {
@@ -830,11 +766,11 @@ mod tests {
         let (_, out) = setup(4);
         let server = server();
         let meter = GpuMeter::new();
-        let outcome = server.serve_one(
+        let outcome = &server.serve(
             &out,
-            &QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1)),
+            &[QueryRequest::new(ClassId(850)).with_filter(QueryFilter::any().with_kx(1))],
             &meter,
-        );
+        )[0];
         // GT confirmation rejects stray postings for a class that never
         // occurs in the stream.
         assert_eq!(outcome.confirmed_clusters, 0);

@@ -50,9 +50,7 @@ use serde::{Deserialize, Serialize};
 
 use focus_cnn::GroundTruthCnn;
 use focus_index::persist::{write_atomic, PersistError};
-use focus_index::{
-    LruOccupancy, SegmentError, SegmentFormat, SegmentMeta, SegmentStore, TopKIndex,
-};
+use focus_index::{LruOccupancy, SegmentError, SegmentMeta, SegmentStore, TopKIndex};
 use focus_runtime::{
     GpuClusterSpec, GpuMeter, GpuPriorityPolicy, GpuScheduler, GpuSchedulerStats, IoMeter, IoStats,
     TickReport,
@@ -66,7 +64,7 @@ use crate::ingest::IngestCnn;
 use crate::params::SelectedConfiguration;
 use crate::pipeline::FramePipeline;
 use crate::query::anytime::{run_anytime, AnytimeOutcome, AnytimePartial};
-use crate::query::segmented::{SegmentedCorpus, TailOverlay};
+use crate::query::segmented::{charge_access, SegmentedCorpus, TailOverlay};
 use crate::query::{QueryOutcome, QueryRequest};
 use crate::query_server::{CacheStats, QueryServer};
 use crate::segment_ingest::{SealPolicy, StreamSegmenter};
@@ -108,17 +106,6 @@ pub struct ServiceConfig {
     /// Fold budget handed to [`SegmentStore::compact`]: adjacent segments
     /// are merged while their combined record count stays within this.
     pub compact_max_clusters: usize,
-    /// On-disk format newly sealed segments are written in. Binary by
-    /// default; pinning [`SegmentFormat::Json`] keeps a store
-    /// human-readable (existing JSON segments are still served either way,
-    /// and migrated when [`ServiceConfig::migrate_per_maintain`] allows).
-    #[serde(default)]
-    pub seal_format: SegmentFormat,
-    /// JSON segments rewritten to the binary format per maintenance tick
-    /// ([`SegmentStore::migrate_format`]; 0 disables migration — the value
-    /// a config persisted before this field existed deserializes to).
-    #[serde(default)]
-    pub migrate_per_maintain: usize,
     /// Manifest-adjacent segments prefetched into the cache per maintenance
     /// tick ([`SegmentStore::prefetch_adjacent`]; 0 disables prefetch —
     /// the value a config persisted before this field existed deserializes
@@ -149,8 +136,6 @@ impl Default for ServiceConfig {
             small_segment_clusters: 32,
             compact_small_threshold: 8,
             compact_max_clusters: 256,
-            seal_format: SegmentFormat::Binary,
-            migrate_per_maintain: 2,
             prefetch_per_maintain: 2,
             adaptation: None,
             governor: None,
@@ -179,10 +164,6 @@ pub struct MaintenanceReport {
     /// Segments folded away by compaction (zero when the small-segment
     /// trigger was not crossed).
     pub segments_folded: usize,
-    /// JSON segments rewritten to the binary format this tick (see
-    /// [`ServiceConfig::migrate_per_maintain`]).
-    #[serde(default)]
-    pub segments_migrated: usize,
     /// Recently-cold-adjacent segments prefetched into the cache this tick
     /// (see [`ServiceConfig::prefetch_per_maintain`]).
     #[serde(default)]
@@ -539,7 +520,6 @@ impl FocusService {
     }
 
     fn assemble(store: SegmentStore, config: ServiceConfig, gt: GroundTruthCnn) -> Self {
-        let store = store.with_seal_format(config.seal_format);
         let bootstrap = IngestCnn::generic(config.worker.bootstrap_model);
         let corpus = SegmentedCorpus::new(store, HashMap::new(), bootstrap);
         let server = QueryServer::new(gt.clone(), config.gpus);
@@ -713,55 +693,29 @@ impl FocusService {
 
     /// Serves a batch of queries over the snapshot-consistent union of
     /// sealed segments and every stream's hot tail. The tail overlay is
-    /// built once per call; the verdict cache, dedupe and batched GT
-    /// verification behave exactly as in [`QueryServer::serve`], and the
+    /// built once per call and the batch runs through
+    /// [`QueryServer::serve_corpus`], so the verdict cache, dedupe and
+    /// batched GT verification behave exactly as in [`QueryServer::serve`]
+    /// and a batch that fails to plan counts no storage I/O. The
     /// query-side GPU work is submitted to the shared scheduler.
     pub fn serve(&self, requests: &[QueryRequest]) -> Result<Vec<QueryOutcome>, SegmentError> {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
         let tail = self.tail_snapshot();
-        let mut plans = Vec::with_capacity(requests.len());
-        let mut records = Vec::with_capacity(requests.len());
-        // Accumulate accounting locally and commit only once every plan
-        // succeeded: a planning error mid-batch serves nothing, so it must
-        // also count nothing.
-        let mut access = focus_index::SegmentAccess::default();
-        let mut tail_candidates = 0usize;
-        let mut candidates = 0usize;
-        for request in requests {
-            let planned = self.corpus.plan_with_tail(request, Some(&tail))?;
-            access.merge(&planned.access);
-            tail_candidates += planned.tail_records;
-            candidates += planned.plan.candidates.len();
-            plans.push(planned.plan);
-            records.push(planned.records);
-        }
-        self.io.record_loads(access.cold_loads, access.bytes_read);
-        self.io.record_cache_hits(access.cache_hits);
-        self.io
-            .record_blocks(access.blocks_read, access.block_raw_hits, access.block_hits);
+        let meter = GpuMeter::new();
+        let batch =
+            self.server
+                .serve_corpus(&self.corpus, Some(&tail), requests, &meter, &self.io)?;
+        let candidates: usize = batch.outcomes.iter().map(|o| o.matched_clusters).sum();
         self.tail_candidates_served
-            .fetch_add(tail_candidates, Ordering::SeqCst);
+            .fetch_add(batch.tail_candidates, Ordering::SeqCst);
         self.candidates_served
             .fetch_add(candidates, Ordering::SeqCst);
-        let meter = GpuMeter::new();
-        let outcomes = self.server.serve_resolved(
-            &plans,
-            &records,
-            |id| {
-                self.corpus
-                    .centroids
-                    .get(&id)
-                    .or_else(|| tail.centroid(id))
-                    .cloned()
-            },
-            &meter,
-        );
         self.scheduler.submit("query", meter.phase("query"));
         self.queries_served
             .fetch_add(requests.len(), Ordering::SeqCst);
-        Ok(outcomes)
+        Ok(batch.outcomes)
     }
 
     /// Serves one query incrementally through the anytime loop
@@ -790,14 +744,7 @@ impl FocusService {
     ) -> Result<AnytimeOutcome, SegmentError> {
         let tail = self.tail_snapshot();
         let plan = self.corpus.plan_anytime_with_tail(request, Some(&tail))?;
-        self.io
-            .record_loads(plan.access.cold_loads, plan.access.bytes_read);
-        self.io.record_cache_hits(plan.access.cache_hits);
-        self.io.record_blocks(
-            plan.access.blocks_read,
-            plan.access.block_raw_hits,
-            plan.access.block_hits,
-        );
+        charge_access(&self.io, &plan.access);
         self.tail_candidates_served
             .fetch_add(plan.tail_records, Ordering::SeqCst);
         self.candidates_served
@@ -839,11 +786,9 @@ impl FocusService {
     /// hit its seal budget (exactly the segments the next frame push would
     /// have sealed, so maintenance never changes the partitioning),
     /// compacts the store when the small-segment count crosses the
-    /// configured threshold, migrates a bounded number of JSON segments to
-    /// the binary format and prefetches segments adjacent to recently-cold
-    /// ones (see [`ServiceConfig::migrate_per_maintain`] /
-    /// [`ServiceConfig::prefetch_per_maintain`]), runs the adaptation
-    /// controllers (drift check → re-select → install, when
+    /// configured threshold, prefetches segments adjacent to recently-cold
+    /// ones (see [`ServiceConfig::prefetch_per_maintain`]), runs the
+    /// adaptation controllers (drift check → re-select → install, when
     /// [`ServiceConfig::adaptation`] is on) and the workload governor
     /// (when [`ServiceConfig::governor`] is on), and drains one
     /// GPU-scheduler tick.
@@ -878,14 +823,8 @@ impl FocusService {
                 self.compactions += 1;
             }
         }
-        // Format migration and adjacency prefetch are steady background
-        // work: a bounded budget each tick, never a stop-the-world pass.
-        if self.config.migrate_per_maintain > 0 {
-            report.segments_migrated = self
-                .corpus
-                .store_mut()
-                .migrate_format(self.config.migrate_per_maintain)?;
-        }
+        // Adjacency prefetch is steady background work: a bounded budget
+        // each tick, never a stop-the-world pass.
         if self.config.prefetch_per_maintain > 0 {
             report.segments_prefetched = self
                 .corpus
@@ -1471,9 +1410,10 @@ mod tests {
         // And OTHER records really were involved (the scan needed the
         // retired routing, not just the class itself).
         let other_records = recovered
-            .corpus()
+            .store()
             .lookup(OTHER_CLASS, &focus_index::QueryFilter::any())
-            .unwrap();
+            .unwrap()
+            .records;
         assert!(!other_records.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }

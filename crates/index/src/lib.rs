@@ -25,8 +25,8 @@
 //! [`manifest`], and time/camera-restricted lookups open only the segments
 //! whose bounds intersect the filter (see `docs/storage.md` at the
 //! workspace root). Segments persist in the binary columnar [`binseg`]
-//! format by default (block-granular reads, per-block checksums), with
-//! JSON kept as a per-segment migration/debug format.
+//! format (block-granular reads, per-block checksums); [`persist`] keeps
+//! the JSON snapshot as the human-readable debug dump.
 
 #![deny(missing_docs)]
 
@@ -41,7 +41,7 @@ pub mod track;
 
 pub use binseg::BinsegError;
 pub use cluster_store::{ClusterKey, ClusterRecord, MemberRef};
-pub use manifest::{Manifest, SegmentFormat, SegmentMeta};
+pub use manifest::{Manifest, SegmentMeta};
 pub use query::QueryFilter;
 pub use segment::{
     GroupedLookup, LruOccupancy, OpenReport, SegmentAccess, SegmentError, SegmentLookup,

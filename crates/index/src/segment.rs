@@ -14,16 +14,16 @@
 //!   MANIFEST.json      # versioned list of live segments (see `manifest`)
 //!   seg-000000.bin     # one immutable index snapshot per segment
 //!   seg-000001.bin     # (binary columnar, see `binseg`)
-//!   seg-000002.json    # legacy/debug JSON segments still serve
 //!   ...
 //! ```
 //!
-//! Segments are written in the binary columnar format of [`crate::binseg`]
-//! by default; the manifest records each segment's format tag, so JSON
-//! segments from older stores (or stores pinned to
-//! [`SegmentFormat::Json`](crate::manifest::SegmentFormat) for debugging)
-//! keep serving, and [`migrate_format`](SegmentStore::migrate_format)
-//! rewrites them to binary one at a time without a stop-the-world step.
+//! Every segment is written in the binary columnar format of
+//! [`crate::binseg`]. A manifest that lists any other file (such as a
+//! `seg-*.json` snapshot from an older store) makes
+//! [`open`](SegmentStore::open) fail with
+//! [`SegmentError::UnsupportedFormat`] naming the file — the segment is
+//! neither loaded nor quarantined, because dropping it would silently lose
+//! acknowledged data.
 //!
 //! Durability protocol: a segment file is written atomically (temp +
 //! rename), then the manifest is rewritten atomically to list it. The
@@ -35,12 +35,42 @@
 //!
 //! Reads go through a two-tier cache: a decoded-block LRU (whole indexes,
 //! footers, record blocks, postings blocks) above a raw-bytes LRU, so a
-//! decoded eviction costs a re-decode rather than a disk read. Binary
-//! lookups read and checksum-verify only the blocks a query needs — the
-//! trailer/footer, one postings block, and the record blocks covering the
-//! candidate keys; [`SegmentAccess`] reports per-call pruning, cache and
-//! block behaviour so callers can account for storage cost (the runtime
-//! crate's `IoMeter`).
+//! decoded eviction costs a re-decode rather than a disk read. Lookups read
+//! and checksum-verify only the blocks a query needs — the trailer/footer,
+//! one postings block, and the record blocks covering the candidate keys;
+//! [`SegmentAccess`] reports per-call pruning, cache and block behaviour so
+//! callers can account for storage cost (the runtime crate's `IoMeter`).
+//!
+//! # Debug dump
+//!
+//! [`crate::persist::to_json`] stays the human-readable view of a segment:
+//! decode the file with [`crate::binseg::decode`] and dump the index.
+//!
+//! ```
+//! use focus_index::{binseg, persist, ClusterKey, ClusterRecord, SegmentStore, TopKIndex};
+//! use focus_video::{ClassId, FrameId, ObjectId, StreamId};
+//!
+//! let dir = std::env::temp_dir().join("focus_segment_dump_doc_example");
+//! let _ = std::fs::remove_dir_all(&dir);
+//! let mut store = SegmentStore::create(&dir)?;
+//! let mut index = TopKIndex::new();
+//! index.insert(ClusterRecord {
+//!     key: ClusterKey::new(StreamId(0), 0),
+//!     centroid_object: ObjectId(0),
+//!     centroid_frame: FrameId(0),
+//!     top_k_classes: vec![ClassId(7)],
+//!     members: Vec::new(),
+//!     start_secs: 0.0,
+//!     end_secs: 1.0,
+//! });
+//! let meta = store.seal(&index)?.expect("a non-empty index seals");
+//!
+//! let bytes = std::fs::read(dir.join(&meta.file))?;
+//! let json = persist::to_json(&binseg::decode(&bytes)?)?;
+//! assert_eq!(json, persist::to_json(&index)?);
+//! # std::fs::remove_dir_all(&dir).ok();
+//! # Ok::<(), Box<dyn std::error::Error>>(())
+//! ```
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -52,10 +82,10 @@ use focus_video::ClassId;
 
 use crate::binseg::{self, BinsegError, SegmentFooter};
 use crate::cluster_store::{ClusterKey, ClusterRecord};
-use crate::manifest::{fnv1a64, Manifest, SegmentFormat, SegmentMeta, MANIFEST_FILE};
-use crate::persist::{self, write_atomic_bytes, PersistError};
+use crate::manifest::{fnv1a64, Manifest, SegmentMeta, MANIFEST_FILE};
+use crate::persist::{write_atomic_bytes, PersistError};
 use crate::query::QueryFilter;
-use crate::topk::{CentroidHandle, TopKIndex};
+use crate::topk::TopKIndex;
 use crate::track::{TrackKey, TrackSketch};
 
 /// Default capacity of the decoded-block LRU cache, in entries. An entry is
@@ -100,6 +130,13 @@ pub enum SegmentError {
         /// The requested id.
         id: u64,
     },
+    /// The manifest lists a segment that is not in the binary format (for
+    /// example a `seg-*.json` snapshot from an older store). The store
+    /// refuses to open rather than drop acknowledged data.
+    UnsupportedFormat {
+        /// The non-binary segment file.
+        path: PathBuf,
+    },
 }
 
 impl std::fmt::Display for SegmentError {
@@ -123,6 +160,11 @@ impl std::fmt::Display for SegmentError {
             SegmentError::UnknownSegment { id } => {
                 write!(f, "segment store: unknown segment id {id}")
             }
+            SegmentError::UnsupportedFormat { path } => write!(
+                f,
+                "segment store: `{}` is not a binary segment",
+                path.display()
+            ),
         }
     }
 }
@@ -184,8 +226,7 @@ pub struct SegmentAccess {
     pub cache_hits: usize,
     /// Bytes read from disk for the cold loads.
     pub bytes_read: u64,
-    /// Block fetches that went to disk (a whole-file JSON read counts as
-    /// one block).
+    /// Block fetches that went to disk.
     pub blocks_read: usize,
     /// Block fetches served by re-decoding bytes from the raw tier.
     pub block_raw_hits: usize,
@@ -457,21 +498,6 @@ impl TieredCache {
         self.recent_cold.retain(|x| *x != id);
     }
 
-    /// Drops segment `id`'s raw-tier bytes only (its decoded entries stay
-    /// valid — used when migration rewrites the file under a new format).
-    fn remove_raw_segment(&mut self, id: u64) {
-        self.raw_order.retain(|k| k.0 != id);
-        let raw_used = &mut self.raw_used;
-        self.raw.retain(|k, v| {
-            if k.0 == id {
-                *raw_used -= v.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     fn note_cold(&mut self, id: u64) {
         if self.recent_cold.contains(&id) {
             return;
@@ -498,17 +524,6 @@ impl TieredCache {
             disk_reads: self.disk_reads,
         }
     }
-}
-
-/// How a whole-segment load was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoadServed {
-    /// Straight from the decoded tier.
-    Decoded,
-    /// Re-decoded from raw-tier bytes (no disk).
-    Raw,
-    /// Read from disk.
-    Disk,
 }
 
 /// A lazily opened read handle on one segment file. A block-granular
@@ -564,7 +579,7 @@ impl<'a> SegmentFile<'a> {
 /// A durable, time-partitioned index store (see the module docs for the
 /// on-disk layout and durability protocol).
 ///
-/// All mutations (`seal`, `compact`, `migrate_format`) take `&mut self` and
+/// All mutations (`seal`, `compact`) take `&mut self` and
 /// serialize their atomic writes; reads (`load`, `lookup`,
 /// `prefetch_adjacent`) take `&self` and share the tiered cache behind a
 /// mutex, so a store can serve concurrent queries.
@@ -606,7 +621,6 @@ impl<'a> SegmentFile<'a> {
 pub struct SegmentStore {
     dir: PathBuf,
     manifest: Manifest,
-    seal_format: SegmentFormat,
     cache: Mutex<TieredCache>,
 }
 
@@ -619,9 +633,7 @@ const _: () = {
 
 impl SegmentStore {
     /// Creates a fresh, empty store at `dir` (creating the directory if
-    /// needed) and writes its initial manifest. New segments seal in the
-    /// binary format unless [`with_seal_format`](Self::with_seal_format)
-    /// pins JSON.
+    /// needed) and writes its initial manifest.
     ///
     /// Fails with an I/O error if `dir` already contains a manifest — use
     /// [`open`](Self::open) for an existing store.
@@ -648,7 +660,6 @@ impl SegmentStore {
         Ok(SegmentStore {
             dir,
             manifest,
-            seal_format: SegmentFormat::Binary,
             cache: Mutex::new(TieredCache::new(
                 DEFAULT_CACHE_CAPACITY,
                 DEFAULT_RAW_CACHE_BYTES,
@@ -662,10 +673,22 @@ impl SegmentStore {
     /// and dropped from the manifest), and complete segment files the
     /// manifest never acknowledged are quarantined too. The returned
     /// [`OpenReport`] lists every repair.
+    ///
+    /// A manifest that lists a non-binary segment fails the open with
+    /// [`SegmentError::UnsupportedFormat`] before anything is repaired.
     pub fn open(dir: impl Into<PathBuf>) -> Result<(SegmentStore, OpenReport), SegmentError> {
         let dir = dir.into();
         let manifest_path = dir.join(MANIFEST_FILE);
         let mut manifest = Manifest::load(&manifest_path)?;
+        if let Some(meta) = manifest
+            .segments
+            .iter()
+            .find(|m| !m.file.ends_with(SEGMENT_EXTENSION))
+        {
+            return Err(SegmentError::UnsupportedFormat {
+                path: dir.join(&meta.file),
+            });
+        }
         let mut report = OpenReport::default();
 
         // Verify every listed segment's bytes against its checksum.
@@ -696,8 +719,7 @@ impl SegmentStore {
         manifest.segments = verified;
 
         // Sweep the directory for crash leftovers: interrupted temp writes
-        // and complete segments (either format) the manifest never
-        // acknowledged.
+        // and complete segments the manifest never acknowledged.
         let listed: HashMap<&str, ()> = manifest
             .segments
             .iter()
@@ -711,7 +733,7 @@ impl SegmentStore {
                     let _ = fs::remove_file(&path);
                     report.removed_temp.push(name);
                 } else if name.starts_with("seg-")
-                    && (name.ends_with(".json") || name.ends_with(".bin"))
+                    && name.ends_with(SEGMENT_EXTENSION)
                     && !listed.contains_key(name.as_str())
                 {
                     let _ = fs::rename(&path, quarantine_path(&path));
@@ -727,7 +749,6 @@ impl SegmentStore {
             SegmentStore {
                 dir,
                 manifest,
-                seal_format: SegmentFormat::Binary,
                 cache: Mutex::new(TieredCache::new(
                     DEFAULT_CACHE_CAPACITY,
                     DEFAULT_RAW_CACHE_BYTES,
@@ -756,19 +777,6 @@ impl SegmentStore {
             cache: Mutex::new(TieredCache::new(decoded_capacity, bytes)),
             ..self
         }
-    }
-
-    /// Returns the store sealing new segments in `format` (the default is
-    /// [`SegmentFormat::Binary`]; pin [`SegmentFormat::Json`] for the
-    /// debug/migration reader).
-    pub fn with_seal_format(mut self, format: SegmentFormat) -> Self {
-        self.seal_format = format;
-        self
-    }
-
-    /// The format new segments seal in.
-    pub fn seal_format(&self) -> SegmentFormat {
-        self.seal_format
     }
 
     /// The store directory.
@@ -801,36 +809,12 @@ impl SegmentStore {
         self.cache.lock().unwrap().occupancy()
     }
 
-    /// Serializes `index` in `format`.
-    fn encode_payload(index: &TopKIndex, format: SegmentFormat) -> Result<Vec<u8>, SegmentError> {
-        Ok(match format {
-            SegmentFormat::Json => persist::to_json(index)?.into_bytes(),
-            SegmentFormat::Binary => binseg::encode(index),
-        })
-    }
-
-    /// Decodes a whole segment's bytes per its manifest format tag.
+    /// Decodes a whole segment's bytes.
     fn decode_segment(&self, meta: &SegmentMeta, bytes: &[u8]) -> Result<TopKIndex, SegmentError> {
-        match meta.format {
-            SegmentFormat::Json => {
-                let json = String::from_utf8_lossy(bytes);
-                persist::from_json(&json).map_err(|e| {
-                    SegmentError::Persist(match e {
-                        PersistError::Format { source, .. } => PersistError::Format {
-                            path: Some(self.dir.join(&meta.file)),
-                            source,
-                        },
-                        other => other,
-                    })
-                })
-            }
-            SegmentFormat::Binary => {
-                binseg::decode(bytes).map_err(|source| SegmentError::InvalidSegment {
-                    path: self.dir.join(&meta.file),
-                    source,
-                })
-            }
-        }
+        binseg::decode(bytes).map_err(|source| SegmentError::InvalidSegment {
+            path: self.dir.join(&meta.file),
+            source,
+        })
     }
 
     /// Seals `index` as one new immutable segment: writes the segment file
@@ -851,9 +835,8 @@ impl SegmentStore {
             t_end = t_end.max(record.end_secs);
         }
         let id = self.manifest.allocate_id();
-        let format = self.seal_format;
-        let file = format.file_name(id);
-        let payload = Self::encode_payload(index, format)?;
+        let file = segment_file_name(id);
+        let payload = binseg::encode(index);
         let meta = SegmentMeta {
             id,
             file: file.clone(),
@@ -862,7 +845,6 @@ impl SegmentStore {
             streams: index.streams(),
             clusters: index.len(),
             checksum: fnv1a64(&payload),
-            format,
         };
         let path = self.dir.join(&file);
         write_atomic_bytes(&path, &payload)
@@ -879,22 +861,21 @@ impl SegmentStore {
             .manifest
             .segment(id)
             .ok_or(SegmentError::UnknownSegment { id })?;
-        let (index, _, _) = self.load_counted(meta, true)?;
-        Ok(index)
+        self.load_whole(meta, true)
     }
 
-    /// Loads a whole segment through the cache tiers; returns the decoded
-    /// index, how it was served, and the bytes read (zero off-disk).
-    fn load_counted(
+    /// Loads a whole segment through the cache tiers, verifying the
+    /// manifest checksum when it has to go to disk.
+    fn load_whole(
         &self,
         meta: &SegmentMeta,
         note_cold: bool,
-    ) -> Result<(Arc<TopKIndex>, LoadServed, u64), SegmentError> {
+    ) -> Result<Arc<TopKIndex>, SegmentError> {
         let key = (meta.id, BlockKey::Whole);
         let raw = {
             let mut cache = self.cache.lock().unwrap();
             if let Some(DecodedEntry::Whole(index)) = cache.decoded_get(key) {
-                return Ok((index, LoadServed::Decoded, 0));
+                return Ok(index);
             }
             cache.raw_get(key)
         };
@@ -904,7 +885,7 @@ impl SegmentStore {
                 .lock()
                 .unwrap()
                 .decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-            return Ok((index, LoadServed::Raw, 0));
+            return Ok(index);
         }
         let path = self.dir.join(&meta.file);
         let bytes = fs::read(&path).map_err(|source| {
@@ -922,7 +903,6 @@ impl SegmentStore {
             });
         }
         let index = Arc::new(self.decode_segment(meta, &bytes)?);
-        let len = bytes.len() as u64;
         let mut cache = self.cache.lock().unwrap();
         cache.disk_reads += 1;
         if note_cold {
@@ -930,7 +910,7 @@ impl SegmentStore {
         }
         cache.raw_insert(key, Arc::new(bytes));
         cache.decoded_insert(key, DecodedEntry::Whole(Arc::clone(&index)));
-        Ok((index, LoadServed::Disk, len))
+        Ok(index)
     }
 
     /// The footer of a binary segment: from the decoded tier when resident,
@@ -1046,10 +1026,10 @@ impl SegmentStore {
         Ok(value)
     }
 
-    /// Block-granular lookup in one binary segment: trailer/footer, the
+    /// Block-granular lookup in one segment: trailer/footer, the
     /// class's postings block, then only the record blocks covering the
     /// candidate keys — each read verified against its footer checksum.
-    fn lookup_binary(
+    fn lookup_blocks(
         &self,
         meta: &SegmentMeta,
         class: ClassId,
@@ -1196,70 +1176,25 @@ impl SegmentStore {
         {
             access.segments_considered += 1;
             let mut records: Vec<ClusterRecord> = Vec::new();
-            // Whichever the format, a resident whole index is the fastest
-            // path: no block navigation at all.
-            if let Some(DecodedEntry::Whole(index)) = self
+            // A resident whole index is the fastest path: no block
+            // navigation at all.
+            let whole = self
                 .cache
                 .lock()
                 .unwrap()
-                .decoded_get((meta.id, BlockKey::Whole))
-            {
+                .decoded_get((meta.id, BlockKey::Whole));
+            if let Some(DecodedEntry::Whole(index)) = whole {
                 access.cache_hits += 1;
                 access.block_hits += 1;
                 records.extend(index.lookup(class, filter).into_iter().cloned());
-                if !records.is_empty() {
-                    groups.push((meta.id, records));
-                }
-                continue;
-            }
-            match meta.format {
-                SegmentFormat::Json => {
-                    let (index, served, bytes) = self.load_counted(meta, true)?;
-                    match served {
-                        LoadServed::Disk => {
-                            access.cold_loads += 1;
-                            access.blocks_read += 1;
-                            access.bytes_read += bytes;
-                        }
-                        LoadServed::Raw => {
-                            access.cache_hits += 1;
-                            access.block_raw_hits += 1;
-                        }
-                        LoadServed::Decoded => {
-                            access.cache_hits += 1;
-                            access.block_hits += 1;
-                        }
-                    }
-                    records.extend(index.lookup(class, filter).into_iter().cloned());
-                }
-                SegmentFormat::Binary => {
-                    self.lookup_binary(meta, class, filter, &mut access, &mut records)?
-                }
+            } else {
+                self.lookup_blocks(meta, class, filter, &mut access, &mut records)?;
             }
             if !records.is_empty() {
                 groups.push((meta.id, records));
             }
         }
         Ok(GroupedLookup { groups, access })
-    }
-
-    /// Like [`lookup`](Self::lookup), but returns stable
-    /// [`CentroidHandle`]s — the shape the query-planning layer consumes.
-    pub fn lookup_centroids(
-        &self,
-        class: ClassId,
-        filter: &QueryFilter,
-    ) -> Result<(Vec<CentroidHandle>, SegmentAccess), SegmentError> {
-        let SegmentLookup { records, access } = self.lookup(class, filter)?;
-        let handles = records
-            .iter()
-            .map(|record| CentroidHandle {
-                cluster: record.key,
-                centroid: record.centroid_object,
-                centroid_frame: record.centroid_frame,
-            })
-            .collect();
-        Ok((handles, access))
     }
 
     /// All track sketches reachable under `filter`'s *stream* restriction,
@@ -1269,11 +1204,10 @@ impl SegmentStore {
     /// life, so a time-restricted query must still see the complete path —
     /// pruning by the filter's time range would truncate sketches at
     /// segment boundaries and turn the conservative track planner unsound.
-    /// JSON segments load whole (their sketches ride in the snapshot);
-    /// binary segments read only the trailer/footer and the tracks block,
-    /// each verified against its checksum — a flipped bit inside the tracks
-    /// block surfaces as [`SegmentError::Corrupt`] exactly like record and
-    /// postings blocks.
+    /// A segment not resident as a whole index reads only the
+    /// trailer/footer and the tracks block, each verified against its
+    /// checksum — a flipped bit inside the tracks block surfaces as
+    /// [`SegmentError::Corrupt`] exactly like record and postings blocks.
     pub fn sketches(
         &self,
         filter: &QueryFilter,
@@ -1306,7 +1240,7 @@ impl SegmentStore {
             })
         {
             access.segments_considered += 1;
-            // A resident whole index is the fastest path for either format.
+            // A resident whole index is the fastest path.
             if let Some(DecodedEntry::Whole(index)) = self
                 .cache
                 .lock()
@@ -1320,61 +1254,35 @@ impl SegmentStore {
                 }
                 continue;
             }
-            match meta.format {
-                SegmentFormat::Json => {
-                    let (index, served, bytes) = self.load_counted(meta, true)?;
-                    match served {
-                        LoadServed::Disk => {
-                            access.cold_loads += 1;
-                            access.blocks_read += 1;
-                            access.bytes_read += bytes;
-                        }
-                        LoadServed::Raw => {
-                            access.cache_hits += 1;
-                            access.block_raw_hits += 1;
-                        }
-                        LoadServed::Decoded => {
-                            access.cache_hits += 1;
-                            access.block_hits += 1;
-                        }
-                    }
-                    for sketch in index.sketches() {
-                        absorb(&mut merged, sketch);
-                    }
+            let mut touched_disk = false;
+            let path = self.dir.join(&meta.file);
+            let mut file = SegmentFile::new(&path);
+            let footer = self.binary_footer(meta, &mut file, &mut access, &mut touched_disk)?;
+            if let Some(tmeta) = footer.tracks {
+                let sketches = self.binary_block(
+                    meta,
+                    &mut file,
+                    BlockKey::Tracks,
+                    tmeta.offset,
+                    tmeta.len,
+                    tmeta.checksum,
+                    &mut access,
+                    &mut touched_disk,
+                    binseg::decode_tracks_block,
+                    DecodedEntry::Tracks,
+                    |entry| match entry {
+                        DecodedEntry::Tracks(sketches) => Some(sketches),
+                        _ => None,
+                    },
+                )?;
+                for sketch in sketches.iter() {
+                    absorb(&mut merged, sketch);
                 }
-                SegmentFormat::Binary => {
-                    let mut touched_disk = false;
-                    let path = self.dir.join(&meta.file);
-                    let mut file = SegmentFile::new(&path);
-                    let footer =
-                        self.binary_footer(meta, &mut file, &mut access, &mut touched_disk)?;
-                    if let Some(tmeta) = footer.tracks {
-                        let sketches = self.binary_block(
-                            meta,
-                            &mut file,
-                            BlockKey::Tracks,
-                            tmeta.offset,
-                            tmeta.len,
-                            tmeta.checksum,
-                            &mut access,
-                            &mut touched_disk,
-                            binseg::decode_tracks_block,
-                            DecodedEntry::Tracks,
-                            |entry| match entry {
-                                DecodedEntry::Tracks(sketches) => Some(sketches),
-                                _ => None,
-                            },
-                        )?;
-                        for sketch in sketches.iter() {
-                            absorb(&mut merged, sketch);
-                        }
-                    }
-                    if touched_disk {
-                        access.cold_loads += 1;
-                    } else {
-                        access.cache_hits += 1;
-                    }
-                }
+            }
+            if touched_disk {
+                access.cold_loads += 1;
+            } else {
+                access.cache_hits += 1;
             }
         }
         Ok((merged, access))
@@ -1386,7 +1294,7 @@ impl SegmentStore {
     pub fn merged_index(&self) -> Result<TopKIndex, SegmentError> {
         let mut merged = TopKIndex::new();
         for meta in &self.manifest.segments {
-            let (index, _, _) = self.load_counted(meta, false)?;
+            let index = self.load_whole(meta, false)?;
             let replaced = merged.merge_from(&index);
             assert_eq!(replaced, 0, "segments must be key-disjoint");
         }
@@ -1395,9 +1303,8 @@ impl SegmentStore {
 
     /// Folds runs of adjacent small segments into larger ones: consecutive
     /// segments (in seal order) whose combined record count stays within
-    /// `max_clusters` are merged into a single new segment (sealed in the
-    /// store's current seal format). Query results are unchanged — the same
-    /// records end up live, in fewer files.
+    /// `max_clusters` are merged into a single new segment. Query results
+    /// are unchanged — the same records end up live, in fewer files.
     ///
     /// Crash-safe in the same way as sealing: each replacement segment file
     /// is written atomically before the manifest commits the swap, and the
@@ -1430,14 +1337,13 @@ impl SegmentStore {
             }
             let mut merged = TopKIndex::new();
             for meta in run.iter() {
-                let (index, _, _) = this.load_counted(meta, false)?;
+                let index = this.load_whole(meta, false)?;
                 let replaced = merged.merge_from(&index);
                 assert_eq!(replaced, 0, "segments must be key-disjoint");
             }
             let id = this.manifest.allocate_id();
-            let format = this.seal_format;
-            let file = format.file_name(id);
-            let payload = Self::encode_payload(&merged, format)?;
+            let file = segment_file_name(id);
+            let payload = binseg::encode(&merged);
             let meta = SegmentMeta {
                 id,
                 file: file.clone(),
@@ -1449,7 +1355,6 @@ impl SegmentStore {
                 streams: merged.streams(),
                 clusters: merged.len(),
                 checksum: fnv1a64(&payload),
-                format,
             };
             let path = this.dir.join(&file);
             write_atomic_bytes(&path, &payload)
@@ -1491,57 +1396,6 @@ impl SegmentStore {
         }
         drop(cache);
         Ok(before - self.manifest.segments.len())
-    }
-
-    /// Rewrites up to `budget` JSON segments into the binary format, one
-    /// crash-safe step each: the binary file is written atomically first
-    /// (its name differs only by extension, so the JSON original is never
-    /// clobbered), then the manifest entry swaps file/checksum/format in one
-    /// atomic save, and only then is the JSON file deleted. A crash at any
-    /// point leaves either the old entry serving the old file or the new
-    /// entry serving the new file — a leftover file of the other format is
-    /// an unlisted orphan the next [`open`](Self::open) quarantines.
-    ///
-    /// Mixed-format stores serve correctly throughout: every read
-    /// dispatches on the manifest's per-segment format tag.
-    ///
-    /// Returns how many segments were migrated.
-    pub fn migrate_format(&mut self, budget: usize) -> Result<usize, SegmentError> {
-        let mut migrated = 0usize;
-        for pos in 0..self.manifest.segments.len() {
-            if migrated >= budget {
-                break;
-            }
-            if self.manifest.segments[pos].format != SegmentFormat::Json {
-                continue;
-            }
-            let old_meta = self.manifest.segments[pos].clone();
-            let (index, _, _) = self.load_counted(&old_meta, false)?;
-            let payload = binseg::encode(&index);
-            let file = SegmentFormat::Binary.file_name(old_meta.id);
-            let path = self.dir.join(&file);
-            write_atomic_bytes(&path, &payload)
-                .map_err(|source| SegmentError::Persist(PersistError::Io { path, source }))?;
-            let new_meta = SegmentMeta {
-                file,
-                checksum: fnv1a64(&payload),
-                format: SegmentFormat::Binary,
-                ..old_meta.clone()
-            };
-            self.manifest.segments[pos] = new_meta;
-            if let Err(e) = self.manifest.save(&self.dir.join(MANIFEST_FILE)) {
-                // Keep the in-memory list matching the manifest on disk; the
-                // already-written binary file is an orphan open() quarantines.
-                self.manifest.segments[pos] = old_meta;
-                return Err(e.into());
-            }
-            let _ = fs::remove_file(self.dir.join(&old_meta.file));
-            // The raw tier holds the old JSON bytes; the decoded whole index
-            // is format-independent and stays.
-            self.cache.lock().unwrap().remove_raw_segment(old_meta.id);
-            migrated += 1;
-        }
-        Ok(migrated)
     }
 
     /// Warms up to `budget` segments that are manifest-adjacent to segments
@@ -1588,13 +1442,19 @@ impl SegmentStore {
             {
                 continue;
             }
-            let (_, served, _) = self.load_counted(meta, false)?;
-            if served != LoadServed::Decoded {
-                warmed += 1;
-            }
+            self.load_whole(meta, false)?;
+            warmed += 1;
         }
         Ok(warmed)
     }
+}
+
+/// File-name extension of a segment file.
+const SEGMENT_EXTENSION: &str = ".bin";
+
+/// The file name of segment `id` inside the store directory.
+fn segment_file_name(id: u64) -> String {
+    format!("seg-{id:06}{SEGMENT_EXTENSION}")
 }
 
 /// The quarantine name for an untrusted file: `<name>.quarantined` next to
@@ -1612,6 +1472,7 @@ fn quarantine_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
     use crate::cluster_store::{ClusterKey, MemberRef};
+    use crate::persist;
     use focus_video::{FrameId, ObjectId, StreamId, TrackId};
 
     fn test_dir(name: &str) -> PathBuf {
@@ -1644,7 +1505,10 @@ mod tests {
         idx
     }
 
-    fn seal_populated(store: &mut SegmentStore) {
+    /// Seals three segments: stream 0 at [0,15], stream 0 at [100,115],
+    /// stream 1 at [0,15].
+    fn populated(dir: &Path) -> SegmentStore {
+        let mut store = SegmentStore::create(dir).unwrap();
         store
             .seal(&segment_of(&[record(0, 0, 5, 0.0), record(0, 1, 5, 10.0)]))
             .unwrap();
@@ -1657,22 +1521,6 @@ mod tests {
         store
             .seal(&segment_of(&[record(1, 0, 5, 0.0), record(1, 1, 7, 10.0)]))
             .unwrap();
-    }
-
-    /// Seals three binary segments: stream 0 at [0,15], stream 0 at
-    /// [100,115], stream 1 at [0,15].
-    fn populated(dir: &Path) -> SegmentStore {
-        let mut store = SegmentStore::create(dir).unwrap();
-        seal_populated(&mut store);
-        store
-    }
-
-    /// The same three segments, pinned to the JSON format.
-    fn populated_json(dir: &Path) -> SegmentStore {
-        let mut store = SegmentStore::create(dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        seal_populated(&mut store);
         store
     }
 
@@ -1686,7 +1534,6 @@ mod tests {
             .unwrap();
         assert_eq!(meta.id, 0);
         assert_eq!(meta.file, "seg-000000.bin");
-        assert_eq!(meta.format, SegmentFormat::Binary);
         assert_eq!(meta.t_start, 2.0);
         assert_eq!(meta.t_end, 35.0);
         assert_eq!(meta.streams, vec![StreamId(0)]);
@@ -1697,24 +1544,6 @@ mod tests {
         // Sealing an empty index is a no-op.
         assert!(store.seal(&TopKIndex::new()).unwrap().is_none());
         assert_eq!(store.len(), 1);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn seal_format_can_pin_json() {
-        let dir = test_dir("seal_json");
-        let mut store = SegmentStore::create(&dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        assert_eq!(store.seal_format(), SegmentFormat::Json);
-        let meta = store
-            .seal(&segment_of(&[record(0, 0, 5, 0.0)]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(meta.file, "seg-000000.json");
-        assert_eq!(meta.format, SegmentFormat::Json);
-        let bytes = fs::read(dir.join(&meta.file)).unwrap();
-        assert!(!crate::binseg::is_binseg(&bytes));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1768,33 +1597,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_and_json_stores_answer_identically() {
-        let bin_dir = test_dir("parity_bin");
-        let json_dir = test_dir("parity_json");
-        let bin = populated(&bin_dir);
-        let json = populated_json(&json_dir);
-        // Same logical contents, canonically identical.
-        assert_eq!(
-            persist::to_json(&bin.merged_index().unwrap()).unwrap(),
-            persist::to_json(&json.merged_index().unwrap()).unwrap()
-        );
-        for class in [5u16, 6, 7, 0, 99] {
-            for filter in [
-                QueryFilter::any(),
-                QueryFilter::any().with_time_range(0.0, 20.0),
-                QueryFilter::for_stream(StreamId(1)),
-                QueryFilter::any().with_kx(1),
-            ] {
-                let b = bin.lookup(ClassId(class), &filter).unwrap();
-                let j = json.lookup(ClassId(class), &filter).unwrap();
-                assert_eq!(b.records, j.records, "class {class} filter {filter:?}");
-            }
-        }
-        fs::remove_dir_all(&bin_dir).ok();
-        fs::remove_dir_all(&json_dir).ok();
-    }
-
-    #[test]
     fn binary_cold_lookup_reads_only_needed_blocks() {
         let dir = test_dir("block_reads");
         let mut store = SegmentStore::create(&dir).unwrap();
@@ -1836,24 +1638,22 @@ mod tests {
     #[test]
     fn lru_cache_serves_warm_lookups_without_reads() {
         let dir = test_dir("lru");
-        // JSON store with the raw tier disabled: the original whole-segment
-        // LRU semantics.
-        let store = populated_json(&dir)
-            .with_cache_capacity(2)
-            .with_raw_capacity(0);
+        // Raw tier disabled, decoded tier sized to one segment's lookup:
+        // its footer, one postings block and one record block.
+        let store = populated(&dir).with_cache_capacity(3).with_raw_capacity(0);
         let cold = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(cold.access.cold_loads, 3);
         assert_eq!(cold.access.cache_hits, 0);
         assert!(cold.access.bytes_read > 0);
-        // Capacity 2 holds the two most recent segments; a pruned lookup
-        // touching only the last-loaded segment is served entirely warm.
+        // The tier holds the last-loaded segment's blocks; a pruned lookup
+        // touching only that segment is served entirely warm.
         let last = QueryFilter::for_stream(StreamId(1));
         let warm = store.lookup(ClassId(5), &last).unwrap();
         assert_eq!(warm.access.segments_considered, 1);
         assert_eq!(warm.access.cache_hits, 1);
         assert_eq!(warm.access.cold_loads, 0);
-        // A full sequential rescan of 3 segments thrashes a 2-entry LRU:
-        // every access evicts the entry the next access needs.
+        // A full sequential rescan of 3 segments thrashes a one-segment
+        // LRU: every access evicts the blocks the next access needs.
         let rescan = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         assert_eq!(rescan.access.cold_loads, 3);
         // A large-capacity store is fully warm on the second pass.
@@ -1869,22 +1669,28 @@ mod tests {
     #[test]
     fn raw_tier_rescues_decoded_evictions_without_disk() {
         let dir = test_dir("raw_tier");
-        // Decoded tier too small for the working set, raw tier roomy: the
-        // rescan that used to thrash to disk is served by re-decoding.
-        let store = populated_json(&dir).with_cache_capacity(2);
-        let cold = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(cold.access.cold_loads, 3);
-        let rescan = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(rescan.access.cold_loads, 0);
-        assert_eq!(rescan.access.cache_hits, 3);
-        assert_eq!(rescan.access.block_raw_hits, 3);
-        assert_eq!(rescan.access.bytes_read, 0);
-        assert_eq!(rescan.records, cold.records);
+        // A three-entry decoded tier above a roomy raw tier, and lookups
+        // pruned to the middle segment (footer + one record block + one
+        // postings block per class).
+        let store = populated(&dir).with_cache_capacity(3);
+        let middle = QueryFilter::for_stream(StreamId(0)).with_time_range(90.0, 200.0);
+        let cold = store.lookup(ClassId(5), &middle).unwrap();
+        assert_eq!(cold.access.cold_loads, 1);
+        // Class 6's postings evict class 5's from the decoded tier...
+        store.lookup(ClassId(6), &middle).unwrap();
+        // ...and the raw tier serves them again by re-decoding, not by a
+        // disk read.
+        let rescued = store.lookup(ClassId(5), &middle).unwrap();
+        assert_eq!(rescued.access.cold_loads, 0);
+        assert_eq!(rescued.access.cache_hits, 1);
+        assert_eq!(rescued.access.block_raw_hits, 1);
+        assert_eq!(rescued.access.bytes_read, 0);
+        assert_eq!(rescued.records, cold.records);
         let occ = store.cache_occupancy();
         assert_eq!(occ.raw_entries, 3);
         assert!(occ.raw_occupancy_bytes > 0);
-        assert_eq!(occ.disk_reads, 3);
-        assert_eq!(occ.raw_hits, 3);
+        assert_eq!(occ.disk_reads, 4);
+        assert_eq!(occ.raw_hits, 1);
         assert!(occ.raw_hit_rate() > 0.0);
         fs::remove_dir_all(&dir).ok();
     }
@@ -2032,19 +1838,15 @@ mod tests {
             track: TrackId(3),
         }));
 
-        // JSON segments answer identically: sketches ride the snapshot.
-        let json_dir = test_dir("sketches_store_json");
-        let mut json_store = SegmentStore::create(&json_dir)
-            .unwrap()
-            .with_seal_format(SegmentFormat::Json);
-        json_store.seal(&sketched_index(0, 0, 0.0, 7)).unwrap();
-        json_store.seal(&sketched_index(0, 1, 100.0, 7)).unwrap();
-        json_store.seal(&sketched_index(1, 2, 0.0, 3)).unwrap();
-        let (from_json, _) = json_store.sketches(&QueryFilter::any()).unwrap();
-        assert_eq!(from_json, all);
+        // Segments resident as whole indexes answer identically.
+        for meta in store.segments().to_vec() {
+            store.load(meta.id).unwrap();
+        }
+        let (from_whole, whole_access) = store.sketches(&QueryFilter::any()).unwrap();
+        assert_eq!(from_whole, all);
+        assert_eq!(whole_access.cache_hits, 3);
 
         fs::remove_dir_all(&dir).ok();
-        fs::remove_dir_all(&json_dir).ok();
     }
 
     #[test]
@@ -2096,29 +1898,17 @@ mod tests {
         let expected = persist::to_json(&store.merged_index().unwrap()).unwrap();
         drop(store);
         // A crash mid-write leaves a temp file; a crash between segment
-        // rename and manifest update leaves a complete but unlisted segment
-        // — of either format.
-        fs::write(dir.join("seg-000099.json.tmp"), "{\"partial").unwrap();
-        fs::write(
-            dir.join("seg-000098.json"),
-            "{\"version\":1,\"index\":{\"clusters\":[]}}",
-        )
-        .unwrap();
+        // rename and manifest update leaves a complete but unlisted segment.
+        fs::write(dir.join("seg-000099.bin.tmp"), b"FSG1partial").unwrap();
         fs::write(
             dir.join("seg-000097.bin"),
             crate::binseg::encode(&TopKIndex::new()),
         )
         .unwrap();
         let (reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert_eq!(report.removed_temp, vec!["seg-000099.json.tmp".to_string()]);
-        let mut quarantined = report.quarantined.clone();
-        quarantined.sort();
-        assert_eq!(
-            quarantined,
-            vec!["seg-000097.bin".to_string(), "seg-000098.json".to_string()]
-        );
-        assert!(!dir.join("seg-000099.json.tmp").exists());
-        assert!(dir.join("seg-000098.json.quarantined").exists());
+        assert_eq!(report.removed_temp, vec!["seg-000099.bin.tmp".to_string()]);
+        assert_eq!(report.quarantined, vec!["seg-000097.bin".to_string()]);
+        assert!(!dir.join("seg-000099.bin.tmp").exists());
         assert!(dir.join("seg-000097.bin.quarantined").exists());
         // Every sealed segment survived untouched.
         assert_eq!(
@@ -2192,47 +1982,29 @@ mod tests {
     }
 
     #[test]
-    fn migrate_format_rewrites_json_segments_one_at_a_time() {
-        let dir = test_dir("migrate");
-        let mut store = populated_json(&dir);
-        let before = persist::to_json(&store.merged_index().unwrap()).unwrap();
-        let old_files: Vec<String> = store.segments().iter().map(|m| m.file.clone()).collect();
+    fn open_rejects_a_manifest_listing_a_json_segment() {
+        let dir = test_dir("json_listed");
+        let store = populated(&dir);
+        drop(store);
+        // An older store's manifest entry for a JSON snapshot.
+        let manifest_path = dir.join(MANIFEST_FILE);
+        let mut manifest = Manifest::load(&manifest_path).unwrap();
+        manifest.segments[1].file = "seg-000001.json".to_string();
+        manifest.save(&manifest_path).unwrap();
+        let saved = fs::read(&manifest_path).unwrap();
+        fs::write(dir.join("seg-000001.json"), b"{}").unwrap();
 
-        // Budget 1 migrates exactly one segment, leaving a mixed store.
-        assert_eq!(store.migrate_format(1).unwrap(), 1);
-        assert_eq!(store.segments()[0].format, SegmentFormat::Binary);
-        assert_eq!(store.segments()[1].format, SegmentFormat::Json);
-        assert!(!dir.join(&old_files[0]).exists());
-        assert!(dir.join(&store.segments()[0].file).exists());
-        // The mixed-format store answers identically.
-        assert_eq!(
-            persist::to_json(&store.merged_index().unwrap()).unwrap(),
-            before
-        );
-        let lookup = store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
-        assert_eq!(lookup.records.len(), 4);
-        // And reopens cleanly mid-migration.
-        let (mut reopened, report) = SegmentStore::open(&dir).unwrap();
-        assert!(report.is_clean(), "{report:?}");
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            before
-        );
-
-        // A large budget finishes the job; another call is a no-op.
-        assert_eq!(reopened.migrate_format(usize::MAX).unwrap(), 2);
-        assert!(reopened
-            .segments()
-            .iter()
-            .all(|m| m.format == SegmentFormat::Binary));
-        assert_eq!(reopened.migrate_format(usize::MAX).unwrap(), 0);
-        assert_eq!(
-            persist::to_json(&reopened.merged_index().unwrap()).unwrap(),
-            before
-        );
-        for file in &old_files {
-            assert!(!dir.join(file).exists(), "JSON original {file} must go");
+        match SegmentStore::open(&dir) {
+            Err(SegmentError::UnsupportedFormat { path }) => {
+                assert_eq!(path, dir.join("seg-000001.json"));
+            }
+            other => panic!("expected an unsupported-format error, got {other:?}"),
         }
+        // Nothing was repaired: the file is neither quarantined nor
+        // delisted, and the manifest is untouched.
+        assert!(dir.join("seg-000001.json").exists());
+        assert!(!dir.join("seg-000001.json.quarantined").exists());
+        assert_eq!(fs::read(&manifest_path).unwrap(), saved);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -2260,19 +2032,21 @@ mod tests {
     #[test]
     fn cache_occupancy_tracks_both_tiers() {
         let dir = test_dir("occupancy");
-        let store = populated_json(&dir).with_cache_capacity(2);
+        let store = populated(&dir).with_cache_capacity(2);
         let empty = store.cache_occupancy();
         assert_eq!(empty.occupancy, 0);
         assert_eq!(empty.capacity, 2);
         assert_eq!(empty.fill_fraction(), 0.0);
         assert_eq!(empty.decoded_hit_rate(), 0.0);
         assert_eq!(empty.raw_hit_rate(), 0.0);
+        // Each of the 3 segments reads its footer, one postings block and
+        // one record block; only the two blocks enter the raw tier.
         store.lookup(ClassId(5), &QueryFilter::any()).unwrap();
         let full = store.cache_occupancy();
-        assert_eq!(full.occupancy, 2, "3 segments thrash a 2-entry LRU");
+        assert_eq!(full.occupancy, 2, "9 blocks thrash a 2-entry LRU");
         assert_eq!(full.fill_fraction(), 1.0);
-        assert_eq!(full.disk_reads, 3);
-        assert_eq!(full.raw_entries, 3);
+        assert_eq!(full.disk_reads, 9);
+        assert_eq!(full.raw_entries, 6);
         assert!(full.raw_occupancy_bytes > 0);
         assert!(full.raw_fill_fraction() > 0.0);
         assert_eq!(full.raw_capacity_bytes, DEFAULT_RAW_CACHE_BYTES);
@@ -2316,14 +2090,14 @@ mod tests {
 
     #[test]
     fn errors_display_their_context() {
-        let errors: [SegmentError; 4] = [
+        let errors: [SegmentError; 5] = [
             SegmentError::Persist(PersistError::VersionMismatch {
                 path: None,
                 found: 9,
                 expected: 1,
             }),
             SegmentError::Corrupt {
-                path: PathBuf::from("/s/seg-000001.json"),
+                path: PathBuf::from("/s/seg-000001.bin"),
                 expected: 1,
                 found: 2,
             },
@@ -2332,6 +2106,9 @@ mod tests {
                 source: BinsegError::BadMagic,
             },
             SegmentError::UnknownSegment { id: 7 },
+            SegmentError::UnsupportedFormat {
+                path: PathBuf::from("/s/seg-000003.json"),
+            },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -78,13 +78,15 @@ fn main() {
     let window =
         QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(110.0, 130.0));
     let outcomes = server
-        .serve_segmented(
+        .serve_corpus(
             &corpus,
+            None,
             std::slice::from_ref(&window),
             &GpuMeter::new(),
             &io,
         )
-        .expect("segmented serve");
+        .expect("segmented serve")
+        .outcomes;
     let stats = io.snapshot();
     println!(
         "time-window query [110s, 130s] for {class}: {} frames from {} confirmed clusters",
@@ -104,8 +106,9 @@ fn main() {
     // A repeat of the same window is served from the LRU: no disk reads.
     io.reset();
     server
-        .serve_segmented(
+        .serve_corpus(
             &corpus,
+            None,
             std::slice::from_ref(&window),
             &GpuMeter::new(),
             &io,
@@ -128,13 +131,15 @@ fn main() {
         corpus.store().len()
     );
     let after = server
-        .serve_segmented(
+        .serve_corpus(
             &corpus,
+            None,
             std::slice::from_ref(&window),
             &GpuMeter::new(),
             &IoMeter::new(),
         )
-        .expect("post-compaction serve");
+        .expect("post-compaction serve")
+        .outcomes;
     assert_eq!(before[0].frames, after[0].frames);
     assert_eq!(before[0].objects, after[0].objects);
     println!(

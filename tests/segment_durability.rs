@@ -8,10 +8,12 @@ use proptest::prelude::*;
 
 use focus::cnn::{GroundTruthCnn, ModelSpec};
 use focus::core::segment_ingest::{SealPolicy, SegmentedIngest, SegmentedIngestOutput};
-use focus::core::{IngestCnn, IngestParams, QueryRequest, QueryServer, SegmentedCorpus};
+use focus::core::{
+    IngestCnn, IngestParams, QueryOutcome, QueryRequest, QueryServer, SegmentedCorpus,
+};
 use focus::index::{
-    binseg, persist, ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentError,
-    SegmentFormat, SegmentStore, TopKIndex,
+    binseg, persist, ClusterKey, ClusterRecord, MemberRef, QueryFilter, SegmentError, SegmentStore,
+    TopKIndex,
 };
 use focus::runtime::{GpuClusterSpec, GpuMeter, IoMeter};
 use focus::video::profile::profile_by_name;
@@ -50,19 +52,9 @@ fn build(
     policy: SealPolicy,
     shards: usize,
 ) -> (Vec<VideoDataset>, SegmentedIngestOutput, PathBuf) {
-    build_with_format(name, secs, policy, shards, SegmentFormat::Binary)
-}
-
-fn build_with_format(
-    name: &str,
-    secs: f64,
-    policy: SealPolicy,
-    shards: usize,
-    format: SegmentFormat,
-) -> (Vec<VideoDataset>, SegmentedIngestOutput, PathBuf) {
     let datasets = workload(secs);
     let dir = test_dir(name);
-    let mut store = SegmentStore::create(&dir).unwrap().with_seal_format(format);
+    let mut store = SegmentStore::create(&dir).unwrap();
     let output = segmented(policy, shards)
         .ingest_to_store(&datasets, &mut store, &GpuMeter::new())
         .unwrap();
@@ -71,6 +63,17 @@ fn build_with_format(
 
 fn server() -> QueryServer {
     QueryServer::new(GroundTruthCnn::resnet152(), GpuClusterSpec::new(4))
+}
+
+/// Serves `requests` over the sealed segments alone (no tail overlay).
+fn serve_sealed(
+    corpus: &SegmentedCorpus,
+    requests: &[QueryRequest],
+    io: &IoMeter,
+) -> Result<Vec<QueryOutcome>, SegmentError> {
+    Ok(server()
+        .serve_corpus(corpus, None, requests, &GpuMeter::new(), io)?
+        .outcomes)
 }
 
 /// Satellite: round-trip save/open across 1/2/4 shards asserting
@@ -126,9 +129,7 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
     // The segmented server and the in-memory server run the same model on
     // the same candidates: outcomes must serialize byte-identically.
     let io = IoMeter::new();
-    let served = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &io)
-        .unwrap();
+    let served = serve_sealed(&corpus, &requests, &io).unwrap();
     let reference = server().serve(&output.combined, &requests, &GpuMeter::new());
     assert_eq!(
         serde_json::to_string(&served).unwrap(),
@@ -143,7 +144,7 @@ fn time_filtered_queries_are_identical_and_open_fewer_segments() {
     let total_segments = corpus.store().len();
     assert!(total_segments >= 8, "expected a well-segmented store");
     for request in &requests {
-        let planned = corpus.plan(request).unwrap();
+        let planned = corpus.plan_with_tail(request, None).unwrap();
         assert!(
             planned.access.segments_considered < total_segments,
             "request {request:?} opened {} of {total_segments}",
@@ -200,15 +201,15 @@ fn kill_between_writes_recovers_every_sealed_segment() {
     };
 
     // Crash A: killed mid-segment-write — a partial temp file remains.
-    std::fs::write(dir.join("seg-000099.json.tmp"), b"{\"version\":1,\"ind").unwrap();
+    std::fs::write(dir.join("seg-000099.bin.tmp"), b"FSG1\x00\x01").unwrap();
     // Crash B: killed after the segment rename but before the manifest
     // update — a complete, valid-looking segment the manifest never saw.
-    let orphan_payload = persist::to_json(&focus::index::TopKIndex::new()).unwrap();
-    std::fs::write(dir.join("seg-000098.json"), orphan_payload).unwrap();
+    let orphan_payload = binseg::encode(&focus::index::TopKIndex::new());
+    std::fs::write(dir.join("seg-000098.bin"), orphan_payload).unwrap();
 
     let (recovered, report) = SegmentStore::open(&dir).unwrap();
-    assert_eq!(report.removed_temp, vec!["seg-000099.json.tmp".to_string()]);
-    assert_eq!(report.quarantined, vec!["seg-000098.json".to_string()]);
+    assert_eq!(report.removed_temp, vec!["seg-000099.bin.tmp".to_string()]);
+    assert_eq!(report.quarantined, vec!["seg-000098.bin".to_string()]);
     assert!(report.missing.is_empty());
     // Every sealed segment is back, byte-identically.
     assert_eq!(recovered.len(), output.sealed.len());
@@ -223,37 +224,16 @@ fn kill_between_writes_recovers_every_sealed_segment() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Acceptance criterion: the binary segment format answers every query
-/// byte-identically to the JSON (whole-file) format — through the pruned
-/// query server as well as canonically via the merged index.
+/// Acceptance criterion: a store sealed in the binary segment format
+/// answers every query — filtered or not, served through the pruned query
+/// server — byte-identically to the in-memory reference.
 #[test]
-fn binary_and_json_sealed_stores_answer_byte_identically() {
-    let policy = || SealPolicy::every_secs(15.0);
-    let (datasets, json_output, json_dir) =
-        build_with_format("fmt_json", 45.0, policy(), 2, SegmentFormat::Json);
-    let (_, bin_output, bin_dir) =
-        build_with_format("fmt_bin", 45.0, policy(), 2, SegmentFormat::Binary);
-
-    let (json_store, report) = SegmentStore::open(&json_dir).unwrap();
+fn binary_sealed_store_answers_byte_identically() {
+    let (datasets, output, dir) = build("fmt_bin", 45.0, SealPolicy::every_secs(15.0), 2);
+    let (store, report) = SegmentStore::open(&dir).unwrap();
     assert!(report.is_clean(), "{report:?}");
-    let (bin_store, report) = SegmentStore::open(&bin_dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert!(json_store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Json && m.file.ends_with(".json")));
-    assert!(bin_store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Binary && m.file.ends_with(".bin")));
+    assert!(store.segments().iter().all(|m| m.file.ends_with(".bin")));
 
-    // The canonical merged bytes agree across formats.
-    assert_eq!(
-        persist::to_json(&json_store.merged_index().unwrap()).unwrap(),
-        persist::to_json(&bin_store.merged_index().unwrap()).unwrap()
-    );
-
-    // So does everything the query server returns, filtered or not.
     let classes = datasets[0].dominant_classes(3);
     let requests: Vec<QueryRequest> = classes
         .iter()
@@ -266,93 +246,12 @@ fn binary_and_json_sealed_stores_answer_byte_identically() {
             ]
         })
         .collect();
-    let json_corpus = SegmentedCorpus::from_output(json_store, &json_output);
-    let bin_corpus = SegmentedCorpus::from_output(bin_store, &bin_output);
-    let from_json = server()
-        .serve_segmented(&json_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    let from_bin = server()
-        .serve_segmented(&bin_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    let reference = server().serve(&bin_output.combined, &requests, &GpuMeter::new());
-    let canonical = serde_json::to_string(&reference).unwrap();
-    assert_eq!(serde_json::to_string(&from_json).unwrap(), canonical);
-    assert_eq!(serde_json::to_string(&from_bin).unwrap(), canonical);
-    std::fs::remove_dir_all(&json_dir).ok();
-    std::fs::remove_dir_all(&bin_dir).ok();
-}
-
-/// Satellite: format migration rewrites a JSON store to binary one segment
-/// at a time; the mixed-format store keeps serving byte-identical results
-/// mid-migration, reopens cleanly, and ends fully binary with the legacy
-/// files gone.
-#[test]
-fn migration_serves_identically_mid_and_post() {
-    let (datasets, output, dir) = build_with_format(
-        "migrate",
-        45.0,
-        SealPolicy::every_secs(15.0),
-        2,
-        SegmentFormat::Json,
-    );
-    let classes = datasets[0].dominant_classes(2);
-    let requests: Vec<QueryRequest> = classes
-        .iter()
-        .flat_map(|c| {
-            [
-                QueryRequest::new(*c),
-                QueryRequest::new(*c).with_filter(QueryFilter::any().with_time_range(5.0, 30.0)),
-            ]
-        })
-        .collect();
-    let reference =
-        serde_json::to_string(&server().serve(&output.combined, &requests, &GpuMeter::new()))
-            .unwrap();
-
-    let (mut store, report) = SegmentStore::open(&dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    let total = store.len();
-    assert!(store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Json));
-
-    // One segment at a time: after the first step the store is mixed.
-    assert_eq!(store.migrate_format(1).unwrap(), 1);
-    let formats: Vec<SegmentFormat> = store.segments().iter().map(|m| m.format).collect();
-    assert!(formats.contains(&SegmentFormat::Binary));
-    assert!(formats.contains(&SegmentFormat::Json));
-    let mixed_corpus = SegmentedCorpus::from_output(store, &output);
-    let mid = server()
-        .serve_segmented(&mixed_corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    assert_eq!(serde_json::to_string(&mid).unwrap(), reference);
-    drop(mixed_corpus);
-
-    // The mixed store reopens cleanly (the manifest never dangles), and an
-    // unbounded budget finishes the rewrite.
-    let (mut store, report) = SegmentStore::open(&dir).unwrap();
-    assert!(report.is_clean(), "{report:?}");
-    assert_eq!(store.migrate_format(usize::MAX).unwrap(), total - 1);
-    assert!(store
-        .segments()
-        .iter()
-        .all(|m| m.format == SegmentFormat::Binary && m.file.ends_with(".bin")));
-    for entry in std::fs::read_dir(&dir).unwrap().flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        assert!(
-            !(name.starts_with("seg-") && name.ends_with(".json")),
-            "legacy segment file left behind: {name}"
-        );
-    }
     let corpus = SegmentedCorpus::from_output(store, &output);
-    let post = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
-    assert_eq!(serde_json::to_string(&post).unwrap(), reference);
+    let from_bin = serve_sealed(&corpus, &requests, &IoMeter::new()).unwrap();
+    let reference = server().serve(&output.combined, &requests, &GpuMeter::new());
     assert_eq!(
-        persist::to_json(&corpus.store().merged_index().unwrap()).unwrap(),
-        persist::to_json(&output.combined.index).unwrap()
+        serde_json::to_string(&from_bin).unwrap(),
+        serde_json::to_string(&reference).unwrap()
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -365,7 +264,6 @@ fn migration_serves_identically_mid_and_post() {
 fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
     let (_, output, dir) = build("block_corrupt", 45.0, SealPolicy::every_secs(15.0), 2);
     let victim = output.sealed[1].clone();
-    assert_eq!(victim.format, SegmentFormat::Binary);
 
     // The class held by the victim's first record block, discovered via a
     // scratch handle so the store under test caches nothing.
@@ -398,6 +296,65 @@ fn bit_flipped_binary_block_fails_block_checksum_at_lookup() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Satellite regression: a batch whose second request fails planning on a
+/// corrupt block serves nothing, so it must count nothing — the first
+/// request's segment reads never reach the `IoMeter`.
+#[test]
+fn failed_batch_charges_no_storage_io() {
+    let (datasets, output, dir) = build("partial_batch", 45.0, SealPolicy::every_secs(15.0), 2);
+    let first_stream = datasets[0].profile.stream_id;
+    let second_stream = datasets[1].profile.stream_id;
+    // A segment holding only the second stream's records: no request
+    // restricted to the first stream can open it.
+    let victim = output
+        .sealed
+        .iter()
+        .find(|m| m.streams == [second_stream])
+        .expect("a single-stream segment")
+        .clone();
+    let victim_class = {
+        let (scratch, _) = SegmentStore::open(&dir).unwrap();
+        let segment = scratch.load(victim.id).unwrap();
+        segment
+            .clusters()
+            .min_by_key(|r| r.key)
+            .expect("sealed segments are never empty")
+            .top_k_classes[0]
+    };
+    let healthy = QueryRequest::new(datasets[0].dominant_classes(1)[0])
+        .with_filter(QueryFilter::for_stream(first_stream));
+    let broken = QueryRequest::new(victim_class).with_filter(
+        QueryFilter::for_stream(second_stream).with_time_range(victim.t_start, victim.t_end),
+    );
+
+    // Open two independent stores before the damage: open-time
+    // verification would quarantine the victim, while a flip after open
+    // surfaces only when a lookup reads the block.
+    let open_corpus = || {
+        let (store, report) = SegmentStore::open(&dir).unwrap();
+        assert!(report.is_clean(), "{report:?}");
+        SegmentedCorpus::from_output(store, &output)
+    };
+    let (alone_corpus, batch_corpus) = (open_corpus(), open_corpus());
+    // Flip one bit inside the victim's first record block.
+    let path = dir.join(&victim.file);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[6] ^= 0x01;
+    std::fs::write(&path, &bytes).unwrap();
+
+    // On its own, the first request plans and reads segments from disk...
+    let alone = IoMeter::new();
+    serve_sealed(&alone_corpus, std::slice::from_ref(&healthy), &alone).unwrap();
+    assert!(alone.snapshot().segment_loads > 0);
+    // ...but a batch that fails on the second request charges nothing.
+    let io = IoMeter::new();
+    let before = io.snapshot();
+    let err = serve_sealed(&batch_corpus, &[healthy, broken], &io).unwrap_err();
+    assert!(matches!(err, SegmentError::Corrupt { .. }), "{err:?}");
+    assert_eq!(io.snapshot(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Compaction folds small adjacent segments without changing query results.
 #[test]
 fn compaction_preserves_query_results() {
@@ -411,9 +368,7 @@ fn compaction_preserves_query_results() {
         QueryRequest::new(class),
         QueryRequest::new(class).with_filter(QueryFilter::any().with_time_range(0.0, 25.0)),
     ];
-    let before = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
+    let before = serve_sealed(&corpus, &requests, &IoMeter::new()).unwrap();
 
     let folded = corpus.store_mut().compact(200).unwrap();
     assert!(folded > 0, "expected the 10-second segments to fold");
@@ -421,9 +376,7 @@ fn compaction_preserves_query_results() {
 
     // A fresh (cold) server: the accounting fields must match too, not just
     // the result sets.
-    let after = server()
-        .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-        .unwrap();
+    let after = serve_sealed(&corpus, &requests, &IoMeter::new()).unwrap();
     assert_eq!(
         serde_json::to_string(&before).unwrap(),
         serde_json::to_string(&after).unwrap()
@@ -562,10 +515,7 @@ proptest! {
             QueryRequest::new(class)
                 .with_filter(QueryFilter::any().with_time_range(half, secs).with_kx(3)),
         ];
-        let srv = server();
-        let segmented_outcomes = srv
-            .serve_segmented(&corpus, &requests, &GpuMeter::new(), &IoMeter::new())
-            .unwrap();
+        let segmented_outcomes = serve_sealed(&corpus, &requests, &IoMeter::new()).unwrap();
         let reference = server().serve(&output.combined, &requests, &GpuMeter::new());
         prop_assert_eq!(
             serde_json::to_string(&segmented_outcomes).unwrap(),
